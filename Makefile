@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race verify bench bench-smoke bench-replay bench-sampling bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
+.PHONY: build test vet lint race verify perfbench-check bench bench-smoke bench-replay bench-sampling bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
 
 build:
 	$(GO) build ./...
@@ -29,9 +29,17 @@ race:
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench . -benchtime 1x ./...
 
+# perfbench-check builds, vets and tests the benchmark module, a
+# separate module that compiles against mixedrel, internal/exec and
+# internal/inject: an API change that breaks it fails here, not only
+# when the benchmark runs.
+perfbench-check:
+	$(GO) -C _perfbench vet ./...
+	$(GO) -C _perfbench test ./...
+
 # verify is the tier-1 gate: build, static analysis, full tests, race
-# pass, benchmark smoke.
-verify: build lint test race bench-smoke
+# pass, benchmark smoke, benchmark module check.
+verify: build lint test race bench-smoke perfbench-check
 
 # bench records the benchmark suite as BENCH_<date>.json (see
 # scripts/bench.sh for knobs).

@@ -36,29 +36,25 @@ func main() {
 		}
 		return
 	}
+	var tables []*report.Table
+	var err error
 	if *only != "" {
 		d, ok := core.Get(*only)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "reproduce: unknown experiment %q (try -list)\n", *only)
 			os.Exit(2)
 		}
-		t, err := d.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
-		}
-		if err := render(t, *csv); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		var t *report.Table
+		t, err = d.Run(cfg)
+		tables = []*report.Table{t}
+	} else {
+		tables, err = core.RunAll(cfg)
 	}
-	for _, d := range core.Experiments {
-		t, err := d.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %s: %v\n", d.ID, err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+		os.Exit(1)
+	}
+	for _, t := range tables {
 		if err := render(t, *csv); err != nil {
 			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
 			os.Exit(1)

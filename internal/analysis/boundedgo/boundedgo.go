@@ -46,7 +46,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 		}
-		pass.Reportf(g.Go, "go statement outside internal/exec escapes the bounded deterministic scheduler; use exec.ForEach or exec.Sample")
+		pass.Reportf(g.Go, "go statement outside internal/exec escapes the bounded deterministic scheduler; use exec.ForEach or the exec.Driver campaign driver")
 		return true
 	})
 	return nil, nil

@@ -36,10 +36,8 @@ package beam
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"mixedrel/internal/arch"
 	"mixedrel/internal/exec"
@@ -216,43 +214,28 @@ func (e Experiment) Run() (*Result, error) {
 	ctx := &trialCtx{exp: e, exposures: exposures, rate: rate,
 		runner: runner, arrayLens: runner.ArrayLens(), watchdog: watchdog}
 
-	// Sequential mode (Workers <= 1) threads one random stream through
-	// the trials in order; parallel mode gives every trial its own
-	// stream derived from the campaign seed, so the outcome is
-	// deterministic in Seed and independent of scheduling (but a
-	// different — equally valid — sample than the sequential one).
-	// Checkpointed campaigns always use per-trial streams (resume must
-	// not depend on which trials a previous invocation completed).
-	outs := make([]trialOutcome, e.Trials)
-	perTrial := e.Workers > 1
-	if e.Checkpoint != nil {
-		perTrial = true
-		if err := e.runCheckpointed(ctx, outs, res); err != nil {
-			return nil, err
-		}
-	} else {
-		err := exec.SampleCtx(e.Context, e.Workers, e.Trials, e.Seed, func(t int, r *rng.Rand) error {
-			outs[t] = ctx.runTrial(r)
-			return nil
-		})
-		if isCtxErr(err) {
-			return nil, &exec.Interrupted{Journaled: -1, Cause: err}
-		}
-		if err != nil {
-			return nil, err
-		}
+	d, err := exec.Start[trialOutcome](e.Context, e.Workers, e.Checkpoint)
+	if err != nil {
+		return nil, err
 	}
-	for t, o := range outs {
+	defer d.Close()
+	items, err := d.Sample(e.Trials, e.Seed, func(_ int, r *rng.Rand) trialOutcome {
+		return ctx.runTrial(r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, it := range items {
+		o := it.Out
 		if o.aborted {
-			var seed uint64
-			if perTrial {
-				seed = exec.SampleSeed(e.Seed, t)
-			}
 			res.Aborted = append(res.Aborted, inject.AbortedSample{
-				Index: t, Seed: seed, Fault: o.fault, Panic: o.panicMsg})
+				Index: it.Key, Seed: it.Seed, Fault: o.fault, Panic: o.panicMsg})
 			continue
 		}
 		res.record(o, e.KeepOutputs)
+	}
+	if derr := d.Close(); derr != nil {
+		res.CheckpointDegraded, res.CheckpointError = true, derr.Error()
 	}
 
 	n := float64(res.Classified())
@@ -264,70 +247,6 @@ func (e Experiment) Run() (*Result, error) {
 		res.FITSDCHi = rate * hi / n
 	}
 	return res, nil
-}
-
-// isCtxErr reports whether err is a context cancellation or deadline —
-// the signals the campaign converts into graceful interruption.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// runCheckpointed executes the campaign's missing trials against the
-// checkpoint journal, returning exec.ErrPartial while incomplete, an
-// *exec.Interrupted after context cancellation (journal flushed), and
-// surfacing journal degradation on res.
-func (e Experiment) runCheckpointed(ctx *trialCtx, outs []trialOutcome, res *Result) error {
-	j, err := e.Checkpoint.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-
-	var ran atomic.Int64
-	limit := int64(e.Checkpoint.Limit)
-	err = exec.SampleResumeCtx(e.Context, e.Workers, e.Trials, e.Seed, func(t int) bool {
-		if _, ok := j.Done(t); ok {
-			return true
-		}
-		return limit > 0 && ran.Load() >= limit
-	}, func(t int, r *rng.Rand) error {
-		if limit > 0 && ran.Add(1) > limit {
-			return nil
-		}
-		return j.Record(t, ctx.runTrial(r).record())
-	})
-	if isCtxErr(err) {
-		if cerr := j.Close(); cerr != nil {
-			return cerr
-		}
-		journaled := j.Len()
-		if deg, _ := j.Degraded(); deg {
-			journaled = 0
-		}
-		return &exec.Interrupted{Journaled: journaled, Cause: err}
-	}
-	if err != nil {
-		return err
-	}
-	if err := j.Close(); err != nil {
-		return err
-	}
-	if deg, derr := j.Degraded(); deg {
-		res.CheckpointDegraded = true
-		res.CheckpointError = fmt.Sprint(derr)
-	}
-	for t := range outs {
-		raw, ok := j.Done(t)
-		if !ok {
-			return exec.ErrPartial
-		}
-		var rec trialRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("beam: corrupt checkpoint record %d: %w", t, err)
-		}
-		outs[t] = rec.outcome()
-	}
-	return nil
 }
 
 // trialOutcome is the classified result of one simulated strike.
@@ -351,7 +270,7 @@ const (
 	outDUE
 )
 
-// trialRecord is trialOutcome's checkpoint encoding; floats travel as
+// trialRecord is trialOutcome's journal encoding; floats travel as
 // IEEE bit patterns so resume stays bit-exact (JSON has no NaN/Inf).
 type trialRecord struct {
 	Class      int      `json:"cl"`
@@ -364,7 +283,8 @@ type trialRecord struct {
 	Panic      string   `json:"p,omitempty"`
 }
 
-func (o trialOutcome) record() trialRecord {
+// MarshalJSON encodes the trial as its journal record.
+func (o trialOutcome) MarshalJSON() ([]byte, error) {
 	rec := trialRecord{
 		Class:      int(o.class),
 		Outcome:    o.outcome,
@@ -380,11 +300,16 @@ func (o trialOutcome) record() trialRecord {
 			rec.OutputBits[i] = math.Float64bits(v)
 		}
 	}
-	return rec
+	return json.Marshal(rec)
 }
 
-func (rec trialRecord) outcome() trialOutcome {
-	o := trialOutcome{
+// UnmarshalJSON decodes a journal record.
+func (o *trialOutcome) UnmarshalJSON(b []byte) error {
+	var rec trialRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return err
+	}
+	*o = trialOutcome{
 		class:    arch.ResourceClass(rec.Class),
 		outcome:  rec.Outcome,
 		cause:    inject.DUECause(rec.Cause),
@@ -399,7 +324,7 @@ func (rec trialRecord) outcome() trialOutcome {
 			o.output[i] = math.Float64frombits(b)
 		}
 	}
-	return o
+	return nil
 }
 
 // record folds one trial into the aggregate result.

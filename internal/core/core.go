@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"time"
@@ -201,9 +200,9 @@ func Get(id string) (Definition, bool) {
 }
 
 // RunAll executes every experiment — concurrently on the shared
-// scheduler, since each campaign seeds independently — and renders the
-// tables to w in paper order.
-func RunAll(cfg Config, w io.Writer) error {
+// scheduler, since each campaign seeds independently — and returns the
+// tables in paper order.
+func RunAll(cfg Config) ([]*report.Table, error) {
 	tables := make([]*report.Table, len(Experiments))
 	err := exec.ForEach(cfg.gridWorkers(), len(Experiments), func(i int) error {
 		t, err := Experiments[i].Run(cfg)
@@ -214,14 +213,9 @@ func RunAll(cfg Config, w io.Writer) error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, t := range tables {
-		if err := t.WriteASCII(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return tables, nil
 }
 
 // ---- shared workload construction -----------------------------------

@@ -420,14 +420,21 @@ func TestRunAllQuickSucceeds(t *testing.T) {
 	cfg.Quick = true
 	cfg.Trials = 60
 	cfg.Faults = 60
-	var sb strings.Builder
 	// A second, smaller pass through the public entry point.
-	if err := RunAll(cfg, &sb); err != nil {
+	tables, err := RunAll(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Experiments {
+	if len(tables) != len(Experiments) {
+		t.Fatalf("RunAll returned %d tables for %d experiments", len(tables), len(Experiments))
+	}
+	for i, d := range Experiments {
+		var sb strings.Builder
+		if err := tables[i].WriteASCII(&sb); err != nil {
+			t.Fatal(err)
+		}
 		if !strings.Contains(sb.String(), "["+d.ID+"]") {
-			t.Errorf("RunAll output missing %s", d.ID)
+			t.Errorf("RunAll table %d is not %s (paper order)", i, d.ID)
 		}
 	}
 }

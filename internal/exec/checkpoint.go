@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -441,57 +440,6 @@ func (j *Journal) compact() bool {
 	}
 	mJournalCompactions.Inc()
 	return true
-}
-
-// SampleResume is the checkpointing variant of Sample: item i always
-// draws its stream from the i-th output of a master stream seeded by
-// seed — the parallel-mode derivation — REGARDLESS of workers, so a
-// sample depends only on (seed, i) and never on which items a previous,
-// interrupted invocation already completed. Items for which skip
-// reports true are not run. This is why checkpointed campaigns resume
-// byte-identically: re-running item i in a later process re-creates the
-// exact stream it would have had in the first.
-func SampleResume(workers, n int, seed uint64, skip func(i int) bool, fn func(i int, r *rng.Rand) error) error {
-	return SampleResumeCtx(nil, workers, n, seed, skip, fn)
-}
-
-// SampleResumeCtx is SampleResume under a context: cancellation stops
-// dispatching new items, lets in-flight items finish (so their journal
-// records are whole), and returns ctx.Err(). Because item streams are
-// (seed, i)-addressed, a cancelled invocation resumes exactly like a
-// crashed one — minus the torn tail. A nil ctx is SampleResume.
-func SampleResumeCtx(ctx context.Context, workers, n int, seed uint64, skip func(i int) bool, fn func(i int, r *rng.Rand) error) error {
-	if n <= 0 {
-		return nil
-	}
-	master := rng.New(seed)
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
-	}
-	run := func(i int) error {
-		if skip != nil && skip(i) {
-			return nil
-		}
-		return fn(i, rng.New(seeds[i]))
-	}
-	if workers <= 1 {
-		var done <-chan struct{}
-		if ctx != nil {
-			done = ctx.Done()
-		}
-		for i := 0; i < n; i++ {
-			if cancelled(done) {
-				mCancelledJobs.Add(uint64(n - i))
-				return ctx.Err()
-			}
-			if err := run(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return forEach(ctx, workers, n, run)
 }
 
 // SampleSeed returns the per-item stream seed item i receives in

@@ -1,7 +1,9 @@
 // Package exec is the campaign execution engine: a shared bounded
-// scheduler for cross-configuration parallelism plus a process-wide memo
-// cache of fault-free campaign artifacts (golden outputs, operation
-// profiles, pristine encoded inputs).
+// scheduler for cross-configuration parallelism, the one campaign
+// driver every sampling campaign runs through, crash-tolerant
+// checkpoint journals, and a process-wide memo cache of fault-free
+// campaign artifacts (golden outputs, operation profiles, pristine
+// encoded inputs).
 //
 // Determinism is the organizing constraint. Every parallel construct in
 // this package is designed so that results are bitwise-identical to the
@@ -9,14 +11,15 @@
 //
 //   - ForEach runs index-addressed jobs; callers store job i's result in
 //     slot i, so assembly order never depends on scheduling.
-//   - Sample derives the random stream for each item from the campaign
-//     seed alone (never from goroutine interleaving). Sequential mode
-//     (workers <= 1) threads one stream through all items — the seed
-//     repo's historical sampling — while parallel mode gives item i the
-//     stream seeded by the i-th draw of a master stream. Which mode runs
-//     is decided purely by the workers parameter, never by pool
-//     occupancy, so a given (workers, seed) pair always produces the
-//     same sample.
+//   - Driver derives each sample's random stream from the campaign seed
+//     alone, never from goroutine interleaving. An uncheckpointed
+//     campaign with workers <= 1 threads one stream through all samples
+//     (the historical sequential sampling); otherwise sample i gets the
+//     stream seeded by the i-th draw of a master stream, and stratified
+//     rounds address their streams by (seed, stratum, index). The mode
+//     depends only on the workers parameter and the checkpoint, never
+//     on pool occupancy, so a given configuration always produces the
+//     same sample — and a checkpointed one resumes byte-identically.
 //
 // The scheduler is a single process-wide token pool rather than
 // per-call-site worker counts, so nested fan-out (experiments over
@@ -30,8 +33,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"mixedrel/internal/rng"
 )
 
 var (
@@ -222,52 +223,4 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 		return ctx.Err()
 	}
 	return nil
-}
-
-// Sample runs fn(0..n-1), handing each call a deterministic random
-// stream derived from seed. With workers <= 1 a single stream threads
-// through all items in order (the historical sequential sampling); with
-// workers > 1 item i gets its own stream seeded by the i-th draw of a
-// master stream — deterministic in seed and independent of scheduling,
-// but a different (equally valid) sample than sequential mode. The mode
-// depends only on workers, never on pool occupancy.
-func Sample(workers, n int, seed uint64, fn func(i int, r *rng.Rand) error) error {
-	return SampleCtx(nil, workers, n, seed, fn)
-}
-
-// SampleCtx is Sample under a context: cancellation stops dispatching
-// new items (in-flight items drain) and returns ctx.Err(). The
-// sequential single-stream mode cannot resume a half-threaded stream,
-// so an interrupted sequential sample is simply abandoned — campaigns
-// that need resumable interruption checkpoint with per-item streams
-// (SampleResumeCtx). A nil ctx is Sample.
-func SampleCtx(ctx context.Context, workers, n int, seed uint64, fn func(i int, r *rng.Rand) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 1 {
-		var done <-chan struct{}
-		if ctx != nil {
-			done = ctx.Done()
-		}
-		r := rng.New(seed)
-		for i := 0; i < n; i++ {
-			if cancelled(done) {
-				mCancelledJobs.Add(uint64(n - i))
-				return ctx.Err()
-			}
-			if err := fn(i, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	master := rng.New(seed)
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
-	}
-	return forEach(ctx, workers, n, func(i int) error {
-		return fn(i, rng.New(seeds[i]))
-	})
 }

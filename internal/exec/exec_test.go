@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-
-	"mixedrel/internal/rng"
 )
 
 func TestForEachMatchesSequential(t *testing.T) {
@@ -85,47 +83,6 @@ func TestForEachNestedDoesNotDeadlock(t *testing.T) {
 	}
 	if got, want := sum.Load(), int64(64*63/2); got != want {
 		t.Fatalf("sum = %d, want %d", got, want)
-	}
-}
-
-func TestSampleSequentialIsSingleStream(t *testing.T) {
-	const n, seed = 64, 12345
-	want := make([]uint64, n)
-	r := rng.New(seed)
-	for i := range want {
-		want[i] = r.Uint64()
-	}
-	got := make([]uint64, n)
-	if err := Sample(1, n, seed, func(i int, r *rng.Rand) error {
-		got[i] = r.Uint64()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got[%d] = %d, want %d (single-stream order)", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSampleParallelIndependentOfWorkerCount(t *testing.T) {
-	const n, seed = 64, 999
-	run := func(workers int) []uint64 {
-		out := make([]uint64, n)
-		if err := Sample(workers, n, seed, func(i int, r *rng.Rand) error {
-			out[i] = r.Uint64()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := run(2), run(8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sample differs at %d: workers=2 gives %d, workers=8 gives %d", i, a[i], b[i])
-		}
 	}
 }
 

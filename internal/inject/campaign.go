@@ -3,7 +3,6 @@ package inject
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -250,6 +249,11 @@ func (c Campaign) Run() (*Result, error) {
 	if len(sites) == 0 {
 		sites = []Site{SiteOperand, SiteMemory}
 	}
+	for _, site := range sites {
+		if site < SiteOperation || site > SiteControl {
+			return nil, fmt.Errorf("inject: unknown site %v", site)
+		}
+	}
 
 	runner := NewRunner(c.Kernel, c.Format, c.WrapKey, c.Wrap)
 	runner.DisableCompiledReplay = c.DisableCompiledReplay
@@ -301,9 +305,9 @@ func (c Campaign) Run() (*Result, error) {
 
 	var done atomic.Int64
 	showProg := telemetry.ProgressActive()
-	runOne := func(r *rng.Rand) (sample, error) {
+	runOne := func(_ int, r *rng.Rand) sample {
 		var spec FaultSpec
-		switch site := sites[r.Intn(len(sites))]; site {
+		switch sites[r.Intn(len(sites))] {
 		case SiteOperation:
 			f := SampleOpFault(r, counts, c.Format, 0, true, TargetResult)
 			spec.Op = &f
@@ -316,8 +320,6 @@ func (c Campaign) Run() (*Result, error) {
 		case SiteControl:
 			cf := SampleControlFault(r, counts)
 			spec.Control = &cf
-		default:
-			return sample{}, fmt.Errorf("inject: unknown site %v", site)
 		}
 		spec.Watchdog = watchdog
 		spec.TrapNonFinite = c.TrapNonFinite
@@ -326,68 +328,69 @@ func (c Campaign) Run() (*Result, error) {
 			telemetry.Progressf("%s: %d/%d samples", c.Kernel.Name(), done.Add(1), c.Faults)
 		}
 		if abort != nil {
-			return sample{aborted: true, fault: spec.Desc(), panicMsg: abort.String()}, nil
+			return sample{aborted: true, fault: spec.Desc(), panicMsg: abort.String()}
 		}
-		return sample{rr: rr}, nil
+		return sample{rr: rr}
 	}
 
+	d, err := exec.Start[sample](c.Context, c.Workers, c.Checkpoint)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	items, err := d.Sample(c.Faults, c.Seed, runOne)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Faults: c.Faults}
-	outcomes := make([]sample, c.Faults)
-	perSample := c.Workers > 1
-	if c.Checkpoint != nil {
-		perSample = true
-		if err := c.runCheckpointed(runOne, outcomes, res); err != nil {
-			return nil, err
-		}
-	} else {
-		err := exec.SampleCtx(c.Context, c.Workers, c.Faults, c.Seed, func(i int, r *rng.Rand) error {
-			s, err := runOne(r)
-			if err != nil {
-				return err
-			}
-			outcomes[i] = s
-			return nil
-		})
-		if isCtxErr(err) {
-			return nil, &exec.Interrupted{Journaled: -1, Cause: err}
-		}
-		if err != nil {
-			return nil, err
-		}
+	for _, it := range items {
+		res.tally(it, c.KeepOutputs)
 	}
-
-	for i, s := range outcomes {
-		switch {
-		case s.aborted:
-			var seed uint64
-			if perSample {
-				seed = exec.SampleSeed(c.Seed, i)
-			}
-			res.Aborted = append(res.Aborted, AbortedSample{
-				Index: i, Seed: seed, Fault: s.fault, Panic: s.panicMsg})
-		case s.rr.Outcome == SDC:
-			res.SDCs++
-			res.RelErrs = append(res.RelErrs, s.rr.MaxRelErr)
-			if c.KeepOutputs {
-				res.Outputs = append(res.Outputs, s.rr.Output)
-			}
-		case s.rr.Outcome == CrashDUE:
-			res.CrashDUEs++
-		case s.rr.Outcome == HangDUE:
-			res.HangDUEs++
-		default:
-			res.Masked++
-		}
-	}
-	if n := res.Classified(); n > 0 {
-		res.PVF = float64(res.SDCs) / float64(n)
-		res.PDUE = float64(res.DUEs()) / float64(n)
-	}
+	res.rates()
+	res.noteDegraded(d.Close())
 	if showProg {
 		telemetry.ProgressDone()
 	}
 	emitCampaignEnd(res)
 	return res, nil
+}
+
+// tally folds one classified sample into the result. Aborted samples
+// are diagnosed, not classified.
+func (r *Result) tally(it exec.Item[sample], keep bool) {
+	s := it.Out
+	switch {
+	case s.aborted:
+		r.Aborted = append(r.Aborted, AbortedSample{
+			Index: it.Key, Seed: it.Seed, Fault: s.fault, Panic: s.panicMsg})
+	case s.rr.Outcome == SDC:
+		r.SDCs++
+		r.RelErrs = append(r.RelErrs, s.rr.MaxRelErr)
+		if keep {
+			r.Outputs = append(r.Outputs, s.rr.Output)
+		}
+	case s.rr.Outcome == CrashDUE:
+		r.CrashDUEs++
+	case s.rr.Outcome == HangDUE:
+		r.HangDUEs++
+	default:
+		r.Masked++
+	}
+}
+
+// rates derives PVF and PDUE from the tallies.
+func (r *Result) rates() {
+	if n := r.Classified(); n > 0 {
+		r.PVF = float64(r.SDCs) / float64(n)
+		r.PDUE = float64(r.DUEs()) / float64(n)
+	}
+}
+
+// noteDegraded records a journal degradation reported by the driver.
+func (r *Result) noteDegraded(err error) {
+	if err != nil {
+		r.CheckpointDegraded, r.CheckpointError = true, err.Error()
+	}
 }
 
 // emitCampaignEnd writes the campaign's aggregate classification into
@@ -410,80 +413,6 @@ func emitCampaignEnd(res *Result) {
 	)
 }
 
-// isCtxErr reports whether err is a context cancellation or deadline —
-// the signals the campaign converts into graceful interruption.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// runCheckpointed executes the campaign's missing samples against the
-// checkpoint journal, always with per-sample random streams so resumed
-// samples are identical to first-run ones. It returns exec.ErrPartial
-// when the journal is still incomplete (Checkpoint.Limit reached), an
-// *exec.Interrupted after a context cancellation (journal flushed, no
-// half-written state), and surfaces journal degradation — persistent
-// I/O failure downgraded to in-memory completion — on res.
-func (c Campaign) runCheckpointed(runOne func(*rng.Rand) (sample, error), outcomes []sample, res *Result) error {
-	j, err := c.Checkpoint.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-
-	var ran atomic.Int64
-	limit := int64(c.Checkpoint.Limit)
-	err = exec.SampleResumeCtx(c.Context, c.Workers, c.Faults, c.Seed, func(i int) bool {
-		if _, ok := j.Done(i); ok {
-			return true
-		}
-		return limit > 0 && ran.Load() >= limit
-	}, func(i int, r *rng.Rand) error {
-		if limit > 0 && ran.Add(1) > limit {
-			return nil
-		}
-		s, err := runOne(r)
-		if err != nil {
-			return err
-		}
-		return j.Record(i, s.record())
-	})
-	if isCtxErr(err) {
-		// Graceful interruption: the drain finished every in-flight
-		// sample, so closing here leaves a whole, synced journal — the
-		// resume hint in the error is honest.
-		if cerr := j.Close(); cerr != nil {
-			return cerr
-		}
-		journaled := j.Len()
-		if deg, _ := j.Degraded(); deg {
-			journaled = 0 // nothing past the last durable flush is promised
-		}
-		return &exec.Interrupted{Journaled: journaled, Cause: err}
-	}
-	if err != nil {
-		return err
-	}
-	if err := j.Close(); err != nil {
-		return err
-	}
-	if deg, derr := j.Degraded(); deg {
-		res.CheckpointDegraded = true
-		res.CheckpointError = fmt.Sprint(derr)
-	}
-	for i := range outcomes {
-		raw, ok := j.Done(i)
-		if !ok {
-			return exec.ErrPartial
-		}
-		var rec sampleRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("inject: corrupt checkpoint record %d: %w", i, err)
-		}
-		outcomes[i] = rec.sample()
-	}
-	return nil
-}
-
 // sample is the classified outcome of one campaign sample, including
 // the aborted (panicked) case.
 type sample struct {
@@ -493,7 +422,7 @@ type sample struct {
 	panicMsg string
 }
 
-// sampleRecord is sample's checkpoint encoding. Floats travel as their
+// sampleRecord is sample's journal encoding. Floats travel as their
 // IEEE bit patterns (JSON cannot represent NaN/Inf, and clamping would
 // break the byte-identical resume contract).
 type sampleRecord struct {
@@ -507,7 +436,8 @@ type sampleRecord struct {
 	Panic      string   `json:"p,omitempty"`
 }
 
-func (s sample) record() sampleRecord {
+// MarshalJSON encodes the sample as its journal record.
+func (s sample) MarshalJSON() ([]byte, error) {
 	rec := sampleRecord{
 		Outcome:    s.rr.Outcome,
 		Cause:      s.rr.Cause,
@@ -523,11 +453,16 @@ func (s sample) record() sampleRecord {
 			rec.OutputBits[i] = math.Float64bits(v)
 		}
 	}
-	return rec
+	return json.Marshal(rec)
 }
 
-func (rec sampleRecord) sample() sample {
-	s := sample{
+// UnmarshalJSON decodes a journal record.
+func (s *sample) UnmarshalJSON(b []byte) error {
+	var rec sampleRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return err
+	}
+	*s = sample{
 		rr: RunResult{
 			Outcome:      rec.Outcome,
 			Cause:        rec.Cause,
@@ -544,7 +479,7 @@ func (rec sampleRecord) sample() sample {
 			s.rr.Output[i] = math.Float64frombits(b)
 		}
 	}
-	return s
+	return nil
 }
 
 // MarshalJSON encodes the result with non-finite relative errors (and

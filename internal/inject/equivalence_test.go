@@ -31,7 +31,7 @@ func runnersFor(k kernels.Kernel, f fp.Format) (compiled, interpreted *Runner) {
 
 func recordJSON(t *testing.T, rr RunResult) []byte {
 	t.Helper()
-	raw, err := json.Marshal(sample{rr: rr}.record())
+	raw, err := json.Marshal(sample{rr: rr})
 	if err != nil {
 		t.Fatalf("marshal sample record: %v", err)
 	}

@@ -1,10 +1,9 @@
 package inject
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
@@ -114,13 +113,11 @@ type StratumResult struct {
 	Faults, SDCs, DUEs, Masked int
 }
 
-// stratumState accumulates one stratum's outcomes. Sample j's private
-// stream seed is the j-th output of seedSrc; seeds caches the prefix
-// drawn so far so replay diagnostics can name any sample's seed.
+// stratumState accumulates one stratum's classified samples. Sample
+// j's private stream seed is the j-th output of seedSrc.
 type stratumState struct {
-	outs    []sample
+	outs    []exec.Item[sample]
 	seedSrc *rng.Rand
-	seeds   []uint64
 }
 
 // runStratified executes the campaign under the sampling engine. The
@@ -143,16 +140,11 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 		sts[h].seedSrc = rng.New(exec.StratumSeed(c.Seed, h))
 	}
 
-	var journal *exec.Journal
-	var limit int64
-	if c.Checkpoint != nil {
-		journal, err = c.Checkpoint.Open()
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-		limit = int64(c.Checkpoint.Limit)
+	d, err := exec.Start[sample](c.Context, c.Workers, c.Checkpoint)
+	if err != nil {
+		return nil, err
 	}
+	defer d.Close()
 
 	dueArmed := watchdog > 0 || c.TrapNonFinite
 	for _, s := range sites {
@@ -161,24 +153,14 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 		}
 	}
 
-	runOne := func(h int, r *rng.Rand) sample {
-		spec := space.Sample(h, r)
-		spec.Watchdog = watchdog
-		spec.TrapNonFinite = c.TrapNonFinite
-		rr, abort := runner.RunSpec(spec, c.KeepOutputs)
-		if abort != nil {
-			return sample{aborted: true, fault: spec.Desc(), panicMsg: abort.String()}
-		}
-		return sample{rr: rr}
-	}
-
 	// tallies rebuilds the per-stratum counts for one outcome class;
 	// the denominators exclude aborted samples, like the pooled PVF.
 	tallies := func(due bool) []stats.StratumCount {
 		out := make([]stats.StratumCount, nStrata)
 		for h := range sts {
 			sc := stats.StratumCount{Weight: weights[h]}
-			for _, s := range sts[h].outs {
+			for _, it := range sts[h].outs {
+				s := it.Out
 				if s.aborted {
 					continue
 				}
@@ -214,9 +196,8 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 		return !dueArmed || stats.StratifiedHalfWidth(tallies(true), sp.Confidence) <= sp.CIHalfWidth
 	}
 
-	var ran atomic.Int64
 	spent, stopped, partial, round := 0, false, false, 0
-	for spent < c.Faults && !stopped && !partial {
+	for spent < c.Faults && !stopped {
 		round++
 		roundBudget := sp.Round
 		if spent == 0 {
@@ -245,8 +226,8 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 				}
 				scores[h] = sdc[h].SmoothedSigma()
 				if dueArmed {
-					if d := due[h].SmoothedSigma(); d > scores[h] {
-						scores[h] = d
+					if sigma := due[h].SmoothedSigma(); sigma > scores[h] {
+						scores[h] = sigma
 					}
 				}
 			}
@@ -255,85 +236,42 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 			alloc = stats.DeficitAlloc(weights, unitScores, taken(), roundBudget)
 		}
 
-		type job struct {
-			h, idx int
-			seed   uint64
-		}
-		plan := make([]job, 0, roundBudget)
+		jobs := make([]exec.Job, 0, roundBudget)
+		strata := make([]int, 0, roundBudget)
 		for h, n := range alloc {
 			st := &sts[h]
 			for k := 0; k < n; k++ {
-				idx := len(st.outs) + k
-				for len(st.seeds) <= idx {
-					st.seeds = append(st.seeds, st.seedSrc.Uint64())
-				}
-				plan = append(plan, job{h: h, idx: idx, seed: st.seeds[idx]})
+				jobs = append(jobs, exec.Job{
+					Key: exec.SampleKey(h, len(st.outs)+k), Seed: st.seedSrc.Uint64()})
+				strata = append(strata, h)
 			}
 		}
-		if len(plan) == 0 {
+		if len(jobs) == 0 {
 			break
 		}
-		results := make([]sample, len(plan))
-		got := make([]bool, len(plan))
-		err := exec.ForEachCtx(c.Context, c.Workers, len(plan), func(i int) error {
-			jb := plan[i]
-			if journal != nil {
-				if raw, ok := journal.Done(exec.SampleKey(jb.h, jb.idx)); ok {
-					var rec sampleRecord
-					if err := json.Unmarshal(raw, &rec); err != nil {
-						return fmt.Errorf("inject: corrupt checkpoint record (%d,%d): %w", jb.h, jb.idx, err)
-					}
-					results[i] = rec.sample()
-					got[i] = true
-					return nil
-				}
-				if limit > 0 && ran.Add(1) > limit {
-					return nil // deterministic interruption: resume fills this in
-				}
+		items, err := d.Round(jobs, func(i int, r *rng.Rand) sample {
+			spec := space.Sample(strata[i], r)
+			spec.Watchdog = watchdog
+			spec.TrapNonFinite = c.TrapNonFinite
+			rr, abort := runner.RunSpec(spec, c.KeepOutputs)
+			if abort != nil {
+				return sample{aborted: true, fault: spec.Desc(), panicMsg: abort.String()}
 			}
-			s := runOne(jb.h, rng.New(jb.seed))
-			if journal != nil {
-				if err := journal.Record(exec.SampleKey(jb.h, jb.idx), s.record()); err != nil {
-					return err
-				}
-			}
-			results[i] = s
-			got[i] = true
-			return nil
+			return sample{rr: rr}
 		})
-		if isCtxErr(err) {
-			// Cancellation between or inside rounds: in-flight samples
-			// drained and were journaled whole, so close the journal
-			// (flushing the tail) and report an honest resume point.
-			journaled := -1
-			if journal != nil {
-				if cerr := journal.Close(); cerr != nil {
-					return nil, cerr
-				}
-				journaled = journal.Len()
-				if deg, _ := journal.Degraded(); deg {
-					journaled = 0
-				}
-			}
-			return nil, &exec.Interrupted{Journaled: journaled, Cause: err}
+		if errors.Is(err, exec.ErrPartial) {
+			partial = true
+			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		for i := range plan {
-			if !got[i] {
-				partial = true
-			}
-		}
-		if partial {
-			break
-		}
 		// Merge in plan order — grouped by stratum, ascending index —
 		// so the aggregate never depends on scheduling.
-		for i, jb := range plan {
-			sts[jb.h].outs = append(sts[jb.h].outs, results[i])
+		for i, it := range items {
+			sts[strata[i]].outs = append(sts[strata[i]].outs, it)
 		}
-		spent += len(plan)
+		spent += len(items)
 		stopped = converged()
 		// The round event and progress line trail the merge, so their
 		// content (allocation, CI trajectory, stopping decision) is a
@@ -348,7 +286,7 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 			}
 			telemetry.Emit("round",
 				telemetry.KV{K: "round", V: round},
-				telemetry.KV{K: "budget", V: len(plan)},
+				telemetry.KV{K: "budget", V: len(items)},
 				telemetry.KV{K: "spent", V: spent},
 				telemetry.KV{K: "alloc", V: alloc},
 				telemetry.KV{K: "sdc_half_width", V: hwSDC},
@@ -371,22 +309,11 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 			telemetry.KV{K: "rounds", V: round},
 		)
 	}
-	degraded := false
-	var degErr error
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			return nil, err
-		}
-		degraded, degErr = journal.Degraded()
-	}
 	if partial {
 		return nil, exec.ErrPartial
 	}
 	res := c.assembleStratified(space, sts, sp, spent, stopped)
-	if degraded {
-		res.CheckpointDegraded = true
-		res.CheckpointError = fmt.Sprint(degErr)
-	}
+	res.noteDegraded(d.Close())
 	return res, nil
 }
 
@@ -395,34 +322,17 @@ func (c Campaign) runStratified(runner *Runner, sites []Site, watchdog float64) 
 func (c Campaign) assembleStratified(space *Space, sts []stratumState, sp Sampling, spent int, stopped bool) *Result {
 	res := &Result{Faults: spent, EarlyStopped: stopped}
 	for h := range sts {
+		sdcs, dues, masked := res.SDCs, res.DUEs(), res.Masked
+		for _, it := range sts[h].outs {
+			res.tally(it, c.KeepOutputs)
+		}
 		sr := StratumResult{
 			Desc:   space.Strata[h].Desc(),
 			Weight: space.Strata[h].Weight,
 			Faults: len(sts[h].outs),
-		}
-		for idx, s := range sts[h].outs {
-			switch {
-			case s.aborted:
-				res.Aborted = append(res.Aborted, AbortedSample{
-					Index: exec.SampleKey(h, idx), Seed: sts[h].seeds[idx],
-					Fault: s.fault, Panic: s.panicMsg})
-			case s.rr.Outcome == SDC:
-				res.SDCs++
-				sr.SDCs++
-				res.RelErrs = append(res.RelErrs, s.rr.MaxRelErr)
-				if c.KeepOutputs {
-					res.Outputs = append(res.Outputs, s.rr.Output)
-				}
-			case s.rr.Outcome == CrashDUE:
-				res.CrashDUEs++
-				sr.DUEs++
-			case s.rr.Outcome == HangDUE:
-				res.HangDUEs++
-				sr.DUEs++
-			default:
-				res.Masked++
-				sr.Masked++
-			}
+			SDCs:   res.SDCs - sdcs,
+			DUEs:   res.DUEs() - dues,
+			Masked: res.Masked - masked,
 		}
 		res.Strata = append(res.Strata, sr)
 		if telemetry.SinkActive() {
@@ -436,10 +346,7 @@ func (c Campaign) assembleStratified(space *Space, sts []stratumState, sp Sampli
 			)
 		}
 	}
-	if n := res.Classified(); n > 0 {
-		res.PVF = float64(res.SDCs) / float64(n)
-		res.PDUE = float64(res.DUEs()) / float64(n)
-	}
+	res.rates()
 	sdc := make([]stats.StratumCount, len(sts))
 	due := make([]stats.StratumCount, len(sts))
 	for h, sr := range res.Strata {

@@ -75,31 +75,6 @@ func WilsonHalfWidth(k, n int64, confidence float64) float64 {
 	return (hi - lo) / 2
 }
 
-// WaldCI returns the textbook normal-approximation interval
-// p̂ ± z·sqrt(p̂(1-p̂)/n), clamped to [0, 1]. It is reported alongside
-// Wilson for comparison; it degenerates to zero width at k == 0 and
-// k == n, which is why it is never used for stopping decisions.
-func WaldCI(k, n int64, confidence float64) (lower, upper float64) {
-	if k < 0 || n < 0 || k > n {
-		panic(fmt.Sprintf("stats: Wald interval of %d/%d", k, n))
-	}
-	if n == 0 {
-		return 0, 1
-	}
-	z := zFor(confidence)
-	p := float64(k) / float64(n)
-	half := z * math.Sqrt(p*(1-p)/float64(n))
-	lower = p - half
-	upper = p + half
-	if lower < 0 {
-		lower = 0
-	}
-	if upper > 1 {
-		upper = 1
-	}
-	return lower, upper
-}
-
 // WilsonSamplesFor returns the smallest number of uniform samples for
 // which the Wilson interval around proportion p has at most the given
 // half-width — the cost a uniform campaign pays for the confidence a

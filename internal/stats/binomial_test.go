@@ -38,14 +38,6 @@ func TestWilsonCIEdges(t *testing.T) {
 		}
 		prev = hi
 	}
-	// Wald at the same edges is degenerate — this asymmetry is the
-	// whole reason stopping rules use Wilson.
-	if lo, hi := WaldCI(0, 10, 0.95); lo != 0 || hi != 0 {
-		t.Errorf("WaldCI(0,10) = [%v,%v], want the degenerate [0,0]", lo, hi)
-	}
-	if lo, hi := WaldCI(10, 10, 0.95); lo != 1 || hi != 1 {
-		t.Errorf("WaldCI(10,10) = [%v,%v], want the degenerate [1,1]", lo, hi)
-	}
 }
 
 func TestWilsonCIInterior(t *testing.T) {

@@ -358,9 +358,19 @@ func Reproduce(id string, cfg ReproConfig) (*report.Table, error) {
 	return d.Run(cfg)
 }
 
-// ReproduceAll runs every experiment and renders the tables to w.
+// ReproduceAll runs every experiment and renders the tables to w in
+// paper order.
 func ReproduceAll(cfg ReproConfig, w io.Writer) error {
-	return core.RunAll(cfg, w)
+	tables, err := core.RunAll(cfg)
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
+		if err := t.WriteASCII(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Table is a rendered experiment artifact.
