@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race verify perfbench-check bench bench-smoke bench-replay bench-sampling bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
+.PHONY: build test vet lint race verify perfbench-check bench bench-smoke bench-replay bench-sampling bench-faults bench-telemetry bench-chaos smoke-telemetry stress stress-smoke
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,13 @@ bench:
 # Results print to stdout; use make bench for the recorded snapshot.
 bench-sampling:
 	$(GO) test -run '^$$' -bench 'StratifiedCampaign|AdaptiveCampaign|SamplingEfficiency' -benchtime 3x -benchmem -count 2 .
+
+# bench-faults measures the injector rungs of the two fault
+# configurations whose cost lives in the injector itself: a persistent
+# (modulo) fault over a conv-shaped chain grid, per format, and a LUD
+# sample that ends in an emulated segfault. Results print to stdout.
+bench-faults:
+	$(GO) test -run '^$$' -bench 'InjectorPersistentDot|InjectorControlCrash' -benchmem -count 3 ./internal/inject
 
 # smoke-telemetry proves the observe-only contract on a real campaign:
 # identical carolfi output with telemetry off and on, plus schema

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,6 +22,33 @@ func TestGuardRecoversPanic(t *testing.T) {
 	}
 	if abort := Guard(func() {}); abort != nil {
 		t.Errorf("clean run aborted: %v", abort)
+	}
+}
+
+// classifiedPanic is a panic value that is a classified outcome.
+type classifiedPanic struct{ code int }
+
+func (classifiedPanic) ClassifiedAbort() {}
+
+// TestGuardClassifiedSkipsStack: a Classified panic value comes back
+// without a stack, while every other value keeps its stack.
+func TestGuardClassifiedSkipsStack(t *testing.T) {
+	abort := Guard(func() { panic(classifiedPanic{code: 7}) })
+	if abort == nil {
+		t.Fatal("classified panic not recovered")
+	}
+	if abort.Value != (classifiedPanic{code: 7}) {
+		t.Errorf("abort value %v", abort.Value)
+	}
+	if abort.Stack != "" {
+		t.Errorf("classified abort captured a stack:\n%s", abort.Stack)
+	}
+	abort = Guard(func() { panic(fmt.Errorf("simulator bug")) })
+	if abort == nil || abort.Stack == "" {
+		t.Fatalf("unclassified abort %v lost its stack", abort)
+	}
+	if !strings.Contains(abort.Stack, "TestGuardClassifiedSkipsStack") {
+		t.Errorf("stack does not reach the panicking frame:\n%s", abort.Stack)
 	}
 }
 

@@ -92,9 +92,8 @@ func (d *Driver[T]) Sample(n int, seed uint64, fn func(i int, r *rng.Rand) T) ([
 			return items, d.finish(forEach(d.ctx, d.workers, n, job), got)
 		}
 	}
-	// Sequential campaigns run here, in order on the caller: outside
-	// the pool's exec_jobs accounting, and with no scheduler frame on
-	// the stacks Guard captures (see job).
+	// Sequential campaigns run here, in order on the caller, outside
+	// the pool's exec_jobs accounting.
 	var done <-chan struct{}
 	if d.ctx != nil {
 		done = d.ctx.Done()
@@ -142,9 +141,6 @@ func (d *Driver[T]) Close() error {
 // job returns the task that classifies items[i] in place from its own
 // stream: a journaled item is decoded, any other runs fn and is
 // journaled. got, nil without a journal, marks the items classified.
-// Guard captures the whole stack at every emulated crash, a large
-// share of a control-fault campaign's time, so the driver puts no
-// frame but this closure between the scheduler and fn.
 func (d *Driver[T]) job(items []Item[T], fn func(i int, r *rng.Rand) T) (got []bool, job func(i int) error) {
 	if d.journal != nil {
 		got = make([]bool, len(items))

@@ -3,73 +3,90 @@ package inject
 import "mixedrel/internal/fp"
 
 // The injecting environment implements fp.BatchEnv so that the bulk of a
-// faulty run — everything outside the struck operation's batch — moves
-// at the inner machine's batch speed while remaining observationally
-// identical to the scalar path:
+// faulty run — every operation neither the fault nor an armed
+// behavioral-DUE hook can reach — moves at the inner machine's batch
+// speed while remaining observationally identical to the scalar path.
+// Every batch method runs a strike schedule over its operations:
 //
-//   - if the configured fault could strike any of the batch's n dynamic
-//     operations (canStrike), the batch is decomposed into the scalar
-//     methods, which perform the exact per-operation matching,
-//     corruption, and counter bookkeeping;
-//   - otherwise the counters advance by n in one step, and the results
-//     are either served from the fault-free replay trace (before any
+//   - span computes the gap before the next event: the next struck
+//     operation (for a persistent modulo fault, the next counter
+//     ≡ Index mod Modulo), the watchdog boundary, or the control-fault
+//     site;
+//   - a gap advances the counters in one step, and its results are
+//     either served from the fault-free replay trace (before any
 //     corruption: every operand is still bit-identical to the recorded
-//     run, so a DotFMA chain collapses into ONE trace lookup) or
-//     computed through the inner environment's own batch fast path.
+//     run, so a DotFMA gap collapses into ONE trace lookup), served by
+//     the compiled trace program's compare-serving, or computed through
+//     the inner environment's own batch fast path;
+//   - the operation at the end of a gap runs through the scalar method,
+//     which performs the exact per-operation matching, corruption, DUE
+//     hooks and counter bookkeeping.
 //
-// TargetIntState faults never strike arithmetic (they fire inside
-// IntDecision), so for them every batch takes the bulk path.
+// A batch the fault cannot reach is one bulk call, a batch holding one
+// point strike is bulk–scalar–bulk, and a persistent fault costs one
+// scalar operation per Modulo operations instead of decomposing every
+// batch it touches. After an early loop exit (skip mode) a gap passes
+// its operands through in bulk, exactly as each skipped scalar
+// operation would. A pending aliased operand and a live NaN/Inf trap
+// change the next or every operation's semantics, so under them the
+// span is zero and the batch runs scalar. TargetIntState faults never
+// strike arithmetic (they fire inside IntDecision), so for them every
+// batch is one gap.
 
-// canStrike reports whether the configured fault could corrupt any of
-// the next n dynamic operations of the given kind — or whether an armed
-// behavioral-DUE hook could fire within them. It must err on the side
-// of true: a true return only costs speed (the batch decomposes into
-// exact scalar matching), a false miss would skip a corruption or a
-// detector.
-func (e *Env) canStrike(kind fp.Op, n uint64) bool {
-	if e.due && e.mustDecompose(n) {
-		return true
+// span returns how many of the next n dynamic operations of the given
+// kind can run in bulk — none struck by the fault, none at which an
+// armed behavioral-DUE hook could fire — capped at n. Zero means the
+// next operation must run through the scalar method. A short span only
+// costs speed; a long one would skip a corruption or a detector, so
+// every bound is exact or errs short.
+//mixedrelvet:hotpath strike schedule, once per batch gap
+func (e *Env) span(kind fp.Op, n uint64) uint64 {
+	if e.due {
+		n = e.dueSpan(n)
 	}
-	if e.fault.Target != TargetOperand && e.fault.Target != TargetResult {
-		return false
+	if n == 0 || (e.fault.Target != TargetOperand && e.fault.Target != TargetResult) {
+		return n
 	}
-	var ctr uint64
-	if e.fault.AnyKind {
-		ctr = e.all
-	} else {
+	ctr := e.all
+	if !e.fault.AnyKind {
 		if kind != e.fault.Kind {
-			return false
+			return n
 		}
 		ctr = e.byKind[kind]
 	}
-	if m := e.fault.Modulo; m > 0 {
-		// Next counter value ≡ Index (mod m) within the window?
-		off := (e.fault.Index%m + m - ctr%m) % m
-		return off < n
+	switch m := e.fault.Modulo; {
+	case m == 1:
+		return 0
+	case m > 1:
+		// Offset of the next counter value ≡ Index (mod m).
+		return min(n, (e.fault.Index%m+m-ctr%m)%m)
+	case e.fault.Index >= ctr:
+		return min(n, e.fault.Index-ctr)
 	}
-	return e.fault.Index >= ctr && e.fault.Index-ctr < n
+	return n
 }
 
-// mustDecompose reports whether any armed behavioral-DUE hook could
-// fire within the next n operations, forcing exact scalar execution:
-// skip mode and a pending aliased operand change per-op semantics, the
-// watchdog would trip inside the window, the control strike site falls
-// inside the window, or the trap is live (a non-finite result anywhere
-// in the batch must fault at its exact operation).
-func (e *Env) mustDecompose(n uint64) bool {
-	if e.skip || e.ctlPending {
-		return true
+// dueSpan caps n at the operations before the next point where an
+// armed behavioral-DUE hook could fire: a pending aliased operand
+// (which the struck operation normally consumes itself) changes the
+// next operation's semantics, the watchdog trips on the
+// operation that exceeds the budget, the control fault strikes at its
+// site, and a live trap (a non-finite result anywhere must fault at its
+// exact operation) keeps every operation scalar.
+func (e *Env) dueSpan(n uint64) uint64 {
+	if e.ctlPending || (e.trap && (e.applied != 0 || e.trapAll)) {
+		return 0
 	}
-	if e.budget > 0 && e.all+n > e.budget {
-		return true
+	if e.budget > 0 {
+		if e.all >= e.budget {
+			return 0
+		}
+		n = min(n, e.budget-e.all)
 	}
-	if e.ctlArmed && e.ctl.Site >= e.all && e.ctl.Site-e.all < n {
-		return true
+	if e.ctlArmed && e.ctl.Site >= e.all {
+		n = min(n, e.ctl.Site-e.all)
 	}
-	if e.trap && (e.applied != 0 || e.trapAll) {
-		return true
-	}
-	return false
+	return n
 }
 
 // advance moves the operation counters past n operations of one kind.
@@ -78,24 +95,22 @@ func (e *Env) advance(kind fp.Op, n uint64) {
 	e.byKind[kind] += n
 }
 
-// replayable reports whether a just-advanced batch of n operations can
-// be served from the fault-free result trace — same condition as the
-// scalar replayed(): trace long enough, nothing corrupted yet. The
-// caller guarantees (via canStrike) that none of the n operations is
-// struck.
+// replayable reports whether a just-advanced gap can be served from the
+// fault-free result trace — same condition as the scalar replayed():
+// trace long enough, nothing corrupted yet. The caller guarantees (via
+// span) that no operation of the gap is struck.
 func (e *Env) replayable() bool {
 	return e.applied == 0 && uint64(len(e.replay)) >= e.all
 }
 
-// compiled reports whether a just-advanced batch — missed by
-// replayable — may try the compiled trace program's compare-serving.
-// Every batch that reaches its bulk path already cleared canStrike, so
-// no operation in it is struck and no behavioral-DUE hook can fire
-// inside it (mustDecompose); compare-serving then answers each
-// operation from the trace exactly when its recorded operands match
-// the live ones, which is the post-fault cone partition: compares miss
-// precisely on the fault-dependent operations, and only those
-// recompute through the inner machine.
+// compiled reports whether a just-advanced gap — missed by replayable —
+// may try the compiled trace program's compare-serving. No operation
+// in a gap is struck and no behavioral-DUE hook can fire inside it
+// (span); compare-serving then answers each operation from the trace
+// exactly when its recorded operands match the live ones, which is the
+// post-fault cone partition: compares miss precisely on the
+// fault-dependent operations, and only those recompute through the
+// inner machine.
 func (e *Env) compiled() bool {
 	return e.prog != nil
 }
@@ -103,26 +118,37 @@ func (e *Env) compiled() bool {
 // DotFMA implements fp.BatchEnv.
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) DotFMA(acc fp.Bits, a, b []fp.Bits) fp.Bits {
-	n := uint64(len(a))
-	if n == 0 {
-		return acc
-	}
-	if e.canStrike(fp.OpFMA, n) {
-		for i, ai := range a {
-			acc = e.FMA(ai, b[i], acc)
+	for len(a) > 0 {
+		g := e.span(fp.OpFMA, uint64(len(a)))
+		if g == 0 {
+			acc = e.FMA(a[0], b[0], acc)
+			g = 1
+		} else {
+			acc = e.dotGap(acc, a[:g], b[:g])
 		}
+		a, b = a[g:], b[g:]
+	}
+	return acc
+}
+
+// dotGap bulk-executes a chain gap of len(a) unstruck FMAs.
+//mixedrelvet:hotpath batched injection inner loop
+func (e *Env) dotGap(acc fp.Bits, a, b []fp.Bits) fp.Bits {
+	n := uint64(len(a))
+	e.advance(fp.OpFMA, n)
+	if e.skip {
+		// Every skipped FMA passes its accumulator through.
 		return acc
 	}
-	e.advance(fp.OpFMA, n)
 	if e.replayable() {
-		// Only the final accumulator leaves the chain, so the whole
-		// batch is one lookup of the last recorded result.
+		// Only the final accumulator leaves the gap, so the whole gap
+		// is one lookup of the last recorded result.
 		e.statReplayed += n
 		return e.replay[e.all-1]
 	}
 	if e.compiled() {
-		// Serve the longest operand-matching prefix of the chain and
-		// recompute only the suffix the fault's cone reaches.
+		// Serve the longest operand-matching prefix of a whole recorded
+		// chain and recompute only the suffix the fault's cone reaches.
 		res, served := e.prog.ChainPrefix(&e.cur, e.all-n, acc, a, b)
 		e.statServed += uint64(served)
 		if served == int(n) {
@@ -136,103 +162,88 @@ func (e *Env) DotFMA(acc fp.Bits, a, b []fp.Bits) fp.Bits {
 }
 
 // AddN implements fp.BatchEnv.
-//mixedrelvet:hotpath batched injection inner loop
-func (e *Env) AddN(dst, a, b []fp.Bits) {
-	n := uint64(len(a))
-	if n == 0 {
-		return
-	}
-	if e.canStrike(fp.OpAdd, n) {
-		for i, ai := range a {
-			dst[i] = e.Add(ai, b[i])
-		}
-		return
-	}
-	e.advance(fp.OpAdd, n)
-	if e.replayable() {
-		copy(dst, e.replay[e.all-n:e.all])
-		e.statReplayed += n
-		return
-	}
-	if e.compiled() {
-		if lo, hi, ok := e.prog.ServeMap(&e.cur, e.all-n, fp.OpAdd, dst, a, b, nil); ok {
-			e.statServed += n - uint64(hi-lo)
-			if lo < hi {
-				fp.AddN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
-			}
-			return
-		}
-	}
-	fp.AddN(e.inner, dst, a, b)
-}
+func (e *Env) AddN(dst, a, b []fp.Bits) { e.mapN(fp.OpAdd, dst, a, b, nil) }
 
 // MulN implements fp.BatchEnv.
-//mixedrelvet:hotpath batched injection inner loop
-func (e *Env) MulN(dst, a, b []fp.Bits) {
-	n := uint64(len(a))
-	if n == 0 {
-		return
-	}
-	if e.canStrike(fp.OpMul, n) {
-		for i, ai := range a {
-			dst[i] = e.Mul(ai, b[i])
-		}
-		return
-	}
-	e.advance(fp.OpMul, n)
-	if e.replayable() {
-		copy(dst, e.replay[e.all-n:e.all])
-		e.statReplayed += n
-		return
-	}
-	if e.compiled() {
-		if lo, hi, ok := e.prog.ServeMap(&e.cur, e.all-n, fp.OpMul, dst, a, b, nil); ok {
-			e.statServed += n - uint64(hi-lo)
-			if lo < hi {
-				fp.MulN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
-			}
-			return
-		}
-	}
-	fp.MulN(e.inner, dst, a, b)
-}
+func (e *Env) MulN(dst, a, b []fp.Bits) { e.mapN(fp.OpMul, dst, a, b, nil) }
 
 // FMAN implements fp.BatchEnv.
+func (e *Env) FMAN(dst, a, b, c []fp.Bits) { e.mapN(fp.OpFMA, dst, a, b, c) }
+
+// mapN runs an element-wise batch — AddN or MulN when c is nil, FMAN
+// otherwise — through the strike schedule.
 //mixedrelvet:hotpath batched injection inner loop
-func (e *Env) FMAN(dst, a, b, c []fp.Bits) {
-	n := uint64(len(a))
-	if n == 0 {
-		return
+func (e *Env) mapN(op fp.Op, dst, a, b, c []fp.Bits) {
+	for len(a) > 0 {
+		g := e.span(op, uint64(len(a)))
+		if g == 0 {
+			switch op {
+			case fp.OpAdd:
+				dst[0] = e.Add(a[0], b[0])
+			case fp.OpMul:
+				dst[0] = e.Mul(a[0], b[0])
+			default:
+				dst[0] = e.FMA(a[0], b[0], c[0])
+			}
+			g = 1
+		} else if c == nil {
+			e.mapGap(op, dst[:g], a[:g], b[:g], nil)
+		} else {
+			e.mapGap(op, dst[:g], a[:g], b[:g], c[:g])
+		}
+		dst, a, b = dst[g:], a[g:], b[g:]
+		if c != nil {
+			c = c[g:]
+		}
 	}
-	if e.canStrike(fp.OpFMA, n) {
-		for i, ai := range a {
-			dst[i] = e.FMA(ai, b[i], c[i])
+}
+
+// mapGap bulk-executes an element-wise gap of len(a) unstruck
+// operations.
+//mixedrelvet:hotpath batched injection inner loop
+func (e *Env) mapGap(op fp.Op, dst, a, b, c []fp.Bits) {
+	n := uint64(len(a))
+	e.advance(op, n)
+	if e.skip {
+		// Skipped operations pass their designated operand through:
+		// the first for Add and Mul, the accumulator for FMA.
+		if c == nil {
+			copy(dst, a)
+		} else {
+			copy(dst, c)
 		}
 		return
 	}
-	e.advance(fp.OpFMA, n)
 	if e.replayable() {
 		copy(dst, e.replay[e.all-n:e.all])
 		e.statReplayed += n
 		return
 	}
+	lo, hi := 0, len(a)
 	if e.compiled() {
 		// ServeMap leaves dst's dirty interval untouched, so when dst
 		// aliases c the recompute below still reads pristine addends.
-		if lo, hi, ok := e.prog.ServeMap(&e.cur, e.all-n, fp.OpFMA, dst, a, b, c); ok {
-			e.statServed += n - uint64(hi-lo)
-			if lo < hi {
-				fp.FMAN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi], c[lo:hi])
-			}
-			return
+		if l, h, ok := e.prog.ServeMap(&e.cur, e.all-n, op, dst, a, b, c); ok {
+			e.statServed += n - uint64(h-l)
+			lo, hi = l, h
 		}
 	}
-	fp.FMAN(e.inner, dst, a, b, c)
+	if lo >= hi {
+		return
+	}
+	switch op {
+	case fp.OpAdd:
+		fp.AddN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
+	case fp.OpMul:
+		fp.MulN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi])
+	default:
+		fp.FMAN(e.inner, dst[lo:hi], a[lo:hi], b[lo:hi], c[lo:hi])
+	}
 }
 
 // DotFMABlock implements fp.BatchEnv by running the chains in order,
-// each through DotFMA's own strike/replay/bulk logic — the block shape
-// adds no new fault semantics beyond its member chains.
+// each through DotFMA's own strike schedule — the block shape adds no
+// new fault semantics beyond its member chains.
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) DotFMABlock(out []fp.Bits, acc fp.Bits, u, v []fp.Bits, stride int) {
 	for t := range out {
@@ -240,57 +251,36 @@ func (e *Env) DotFMABlock(out []fp.Bits, acc fp.Bits, u, v []fp.Bits, stride int
 	}
 }
 
-// GemmFMA implements fp.BatchEnv. The grid is handled at chain
-// granularity with one grid-level canStrike instead of one per chain:
-//
-//   - no possible strike: every chain bulk-serves via gemmChains;
-//   - a single operation fault in the window (the campaign common
-//     case): the struck chain alone decomposes through DotFMA's exact
-//     scalar matching, and the chain ranges before and after it
-//     bulk-serve — so a strike costs k scalar operations plus two
-//     bulk calls, not rows*cols chain dispatches;
-//   - modulo (persistent) faults and armed DUE hooks: the grid
-//     decomposes into its rows like the package fallback, with each
-//     row's chains going through DotFMABlock (and so DotFMA's
-//     strike/replay/bulk logic), keeping every per-operation hook
-//     exact.
+// GemmFMA implements fp.BatchEnv. The strike schedule runs at chain
+// granularity: the chains wholly before the next event (span) bulk-serve
+// together through gemmChains, and the chain holding the event runs
+// through DotFMA's own schedule. A grid the fault cannot reach is one
+// bulk call; a point strike costs its chain's scalar operation plus two
+// bulk calls, not rows*cols chain dispatches; a persistent fault whose
+// Modulo is below k strikes every chain, each of which then runs its
+// gaps in bulk and only its struck operations scalar.
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 	chains := rows * cols
-	n := uint64(chains) * uint64(k)
-	if n == 0 {
+	kk := uint64(k)
+	if chains == 0 || kk == 0 {
 		return
 	}
-	if !e.canStrike(fp.OpFMA, n) {
-		e.gemmChains(out, accs, a, bt, rows, cols, k, 0, chains)
-		return
-	}
-	if !e.due && e.fault.Modulo == 0 {
-		// canStrike with no DUE hooks armed means exactly one dynamic
-		// operation in the window is struck (target operand/result,
-		// kind FMA or any); isolate its chain.
-		ctr := e.all
-		if !e.fault.AnyKind {
-			ctr = e.byKind[fp.OpFMA]
+	for t := 0; t < chains; {
+		c := t + int(e.span(fp.OpFMA, uint64(chains-t)*kk)/kk)
+		e.gemmChains(out, accs, a, bt, rows, cols, k, t, c)
+		if c == chains {
+			return
 		}
-		t0 := int((e.fault.Index - ctr) / uint64(k))
-		e.gemmChains(out, accs, a, bt, rows, cols, k, 0, t0)
-		acc := e.FromFloat64(0)
-		if accs != nil {
-			acc = accs[t0/cols]
-		}
-		row, col := t0/cols, t0%cols
-		out[t0] = e.DotFMA(acc, a[row*k:(row+1)*k], bt[col*k:col*k+k])
-		e.gemmChains(out, accs, a, bt, rows, cols, k, t0+1, chains)
-		return
-	}
-	zero := e.FromFloat64(0)
-	for i := 0; i < rows; i++ {
-		acc := zero
+		i, j := c/cols, c%cols
+		var acc fp.Bits
 		if accs != nil {
 			acc = accs[i]
+		} else {
+			acc = e.FromFloat64(0)
 		}
-		e.DotFMABlock(out[i*cols:(i+1)*cols], acc, a[i*k:(i+1)*k], bt, k)
+		out[c] = e.DotFMA(acc, a[i*k:(i+1)*k], bt[j*k:j*k+k])
+		t = c + 1
 	}
 }
 
@@ -299,7 +289,7 @@ func (e *Env) GemmFMA(out, accs, a, bt []fp.Bits, rows, cols, k int) {
 // replay trace (one lookup per chain), from the compiled program (one
 // slab compare resolves the fault's dirty rows/columns; clean chains
 // serve from the trace, dirty ones recompute), or recomputed through
-// the inner environment. The caller guarantees — via canStrike on a
+// the inner environment. The caller guarantees — via span over a
 // window covering the range — that no strike or DUE hook fires within
 // these chains.
 func (e *Env) gemmChains(out, accs, a, bt []fp.Bits, rows, cols, k, first, limit int) {
@@ -309,6 +299,17 @@ func (e *Env) gemmChains(out, accs, a, bt []fp.Bits, rows, cols, k, first, limit
 	n := uint64(limit-first) * uint64(k)
 	e.advance(fp.OpFMA, n)
 	pos := e.all - n
+	if e.skip {
+		// Every skipped chain keeps its initial accumulator.
+		zero := e.FromFloat64(0)
+		for t := first; t < limit; t++ {
+			out[t] = zero
+			if accs != nil {
+				out[t] = accs[t/cols]
+			}
+		}
+		return
+	}
 	if e.replayable() {
 		// Only final accumulators leave the chains: absolute chain t
 		// ends at stream position pos + (t-first+1)*k - 1.
@@ -344,17 +345,27 @@ func (e *Env) gemmChains(out, accs, a, bt []fp.Bits, rows, cols, k, first, limit
 // AXPY implements fp.BatchEnv.
 //mixedrelvet:hotpath batched injection inner loop
 func (e *Env) AXPY(dst []fp.Bits, s fp.Bits, x []fp.Bits) {
-	n := uint64(len(x))
-	if n == 0 {
-		return
-	}
-	if e.canStrike(fp.OpFMA, n) {
-		for i, xi := range x {
-			dst[i] = e.FMA(s, xi, dst[i])
+	for len(x) > 0 {
+		g := e.span(fp.OpFMA, uint64(len(x)))
+		if g == 0 {
+			dst[0] = e.FMA(s, x[0], dst[0])
+			g = 1
+		} else {
+			e.axpyGap(dst[:g], s, x[:g])
 		}
+		dst, x = dst[g:], x[g:]
+	}
+}
+
+// axpyGap bulk-executes an AXPY gap of len(x) unstruck FMAs.
+//mixedrelvet:hotpath batched injection inner loop
+func (e *Env) axpyGap(dst []fp.Bits, s fp.Bits, x []fp.Bits) {
+	n := uint64(len(x))
+	e.advance(fp.OpFMA, n)
+	if e.skip {
+		// Every skipped FMA passes its accumulator, dst[i], through.
 		return
 	}
-	e.advance(fp.OpFMA, n)
 	if e.replayable() {
 		copy(dst, e.replay[e.all-n:e.all])
 		e.statReplayed += n

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"mixedrel/internal/exec"
 	"mixedrel/internal/fp"
+	"mixedrel/internal/kernels"
+	"mixedrel/internal/rng"
 )
 
 // noBatch hides the batch methods of an environment, forcing the fp
@@ -85,9 +88,15 @@ func runStream(env fp.Env, f fp.Format) []fp.Bits {
 // (7+5+1+4+6+3+1+3+0+1 + 6 block + 8 grid).
 const streamOps = 45
 
+// sweepModuli are the persistent-fault periods the sweeps cover: every
+// operation struck (1), periods shorter and longer than the stream's
+// batches (2, 8, 13), and one longer than the whole stream.
+var sweepModuli = []uint64{1, 2, 8, 13, streamOps + 2}
+
 // sweepFaults enumerates the fault shapes the equivalence tests sweep:
 // every index through (and past) the stream, result and operand targets,
-// any-kind and per-kind matching, and persistent modulo faults.
+// any-kind and per-kind matching, and persistent modulo faults of every
+// period in sweepModuli for every kind and target.
 func sweepFaults() []OpFault {
 	var faults []OpFault
 	for idx := uint64(0); idx <= streamOps+2; idx++ {
@@ -99,13 +108,35 @@ func sweepFaults() []OpFault {
 			OpFault{Kind: fp.OpMul, Index: idx, Bit: 3, Target: TargetResult},
 		)
 	}
-	for _, mod := range []uint64{3, 5, 11} {
-		faults = append(faults,
-			OpFault{AnyKind: true, Index: 1, Modulo: mod, Bit: 7, Target: TargetResult},
-			OpFault{Kind: fp.OpFMA, Index: 2, Modulo: mod, Bit: 2, Target: TargetOperand, OperandIdx: 2},
-		)
+	for _, mod := range sweepModuli {
+		faults = append(faults, persistentFaults(mod)...)
 	}
 	faults = append(faults, OpFault{AnyKind: true, Index: 4, Bit: 1, Target: TargetIntState})
+	return faults
+}
+
+// persistentFaults returns modulo-mod faults for every kind filter (FMA,
+// Add, Mul, any), on the result and on every operand of the kind (for
+// FMA and any-kind, the accumulator c too), with the phase Index spread
+// over the period and past it (matching takes Index mod Modulo).
+func persistentFaults(mod uint64) []OpFault {
+	kinds := []struct {
+		kind  fp.Op
+		any   bool
+		arity int
+	}{{fp.OpFMA, false, 3}, {fp.OpAdd, false, 2}, {fp.OpMul, false, 2}, {0, true, 3}}
+	var faults []OpFault
+	for i, k := range kinds {
+		base := OpFault{Kind: k.kind, AnyKind: k.any, Index: uint64(3*i) + mod*uint64(i%2), Modulo: mod, Bit: 2 + 3*i}
+		res := base
+		res.Target = TargetResult
+		faults = append(faults, res)
+		for op := 0; op < k.arity; op++ {
+			opf := base
+			opf.Target, opf.OperandIdx = TargetOperand, op
+			faults = append(faults, opf)
+		}
+	}
 	return faults
 }
 
@@ -170,6 +201,145 @@ func TestBatchInjectionReplayMatchesScalar(t *testing.T) {
 					t.Fatalf("applied: batch %d != scalar %d", be.Applied(), se.Applied())
 				}
 			})
+		}
+	}
+}
+
+// runGuarded executes run under exec.Guard and returns its outputs, or
+// the emulated DUE that ended it.
+func runGuarded(t *testing.T, run func() []fp.Bits) (out []fp.Bits, sig any) {
+	t.Helper()
+	abort := exec.Guard(func() { out = run() })
+	if abort == nil {
+		return out, nil
+	}
+	if _, ok := abort.Value.(dueSignal); !ok {
+		t.Fatalf("run died on a non-DUE panic: %v\n%s", abort, abort.Stack)
+	}
+	return nil, abort.Value
+}
+
+// checkSameEnding fails unless a batch and a scalar run ended alike:
+// the same emulated DUE (or none), the same outputs, the same
+// corruption count and the same operation counters.
+func checkSameEnding(t *testing.T, outBatch, outScalar []fp.Bits, sigBatch, sigScalar any, be, se *Env) {
+	t.Helper()
+	if sigBatch != sigScalar {
+		t.Fatalf("DUE: batch %+v != scalar %+v", sigBatch, sigScalar)
+	}
+	for i := range outScalar {
+		if outBatch[i] != outScalar[i] {
+			t.Fatalf("output %d: batch %#x != scalar %#x", i, outBatch[i], outScalar[i])
+		}
+	}
+	if be.Applied() != se.Applied() || be.all != se.all || be.byKind != se.byKind {
+		t.Fatalf("state diverged: batch applied=%d all=%d byKind=%v, scalar applied=%d all=%d byKind=%v",
+			be.Applied(), be.all, be.byKind, se.Applied(), se.all, se.byKind)
+	}
+}
+
+// TestBatchInjectionDUEMatchesScalar repeats the persistent-fault sweep
+// with the behavioral-DUE hooks armed: watchdog budgets that run out
+// inside a batch, the NaN/Inf trap on and off, and control faults
+// striking mid-stream (an upward loop jump the budget absorbs, one it
+// does not, an early loop exit, an aliased operand load). Each gap of
+// the strike schedule must stop before the watchdog boundary and the
+// control site and a live trap must stay scalar: the batch path ends in
+// the same outputs, or in the same emulated crash or hang at the same
+// operation, as the scalar path.
+func TestBatchInjectionDUEMatchesScalar(t *testing.T) {
+	mem := [][]fp.Bits{make([]fp.Bits, 8), make([]fp.Bits, 8)}
+	controls := []struct {
+		name      string
+		cf        ControlFault
+		watchdog  float64
+		goldenOps uint64
+	}{
+		// Budgets that run out mid-chain: inside the 3-chain block and
+		// inside the 2x2 grid.
+		{"watchdog-in-block", ControlFault{}, 1, 34},
+		{"watchdog-in-grid", ControlFault{}, 1, 41},
+		{"loop-jump-absorbed", ControlFault{Class: LoopControl, Site: 20, Bit: 2}, 4, streamOps},
+		{"loop-jump-hang", ControlFault{Class: LoopControl, Site: 20, Bit: 5}, 1, streamOps},
+		{"loop-exit", ControlFault{Class: LoopControl, Site: 20, Bit: 3}, 4, streamOps},
+		{"index-alias", ControlFault{Class: IndexControl, Site: 17, Bit: 2}, 4, streamOps},
+	}
+	for _, f := range []fp.Format{fp.Half, fp.Single, fp.Double} {
+		rec := &traceRec{Env: fp.NewMachine(f)}
+		runStream(rec, f)
+		for _, mod := range sweepModuli {
+			// The exponent-MSB flip overflows within a few operations, so
+			// the armed trap fires mid-stream.
+			faults := append(persistentFaults(mod),
+				OpFault{AnyKind: true, Index: 1, Modulo: mod, Bit: f.Width() - 2, Target: TargetResult})
+			for _, fault := range faults {
+				for _, ctl := range controls {
+					for _, variant := range []struct{ replay, trap bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+						replay := variant.replay
+						spec := FaultSpec{Op: &fault, Watchdog: ctl.watchdog, TrapNonFinite: variant.trap}
+						if ctl.cf != (ControlFault{}) {
+							spec.Control = &ctl.cf
+						}
+						t.Run(fmt.Sprintf("%v/%s/%+v/%+v", f, ctl.name, variant, fault), func(t *testing.T) {
+							be := NewEnv(fp.NewMachine(f), neverFault)
+							be.resetSpec(spec, ctl.goldenOps, mem)
+							if replay {
+								be.replay = rec.trace
+							}
+							outBatch, sigBatch := runGuarded(t, func() []fp.Bits { return runStream(be, f) })
+							se := NewEnv(fp.NewMachine(f), neverFault)
+							se.resetSpec(spec, ctl.goldenOps, mem)
+							outScalar, sigScalar := runGuarded(t, func() []fp.Bits { return runStream(noBatch{se}, f) })
+							checkSameEnding(t, outBatch, outScalar, sigBatch, sigScalar, be, se)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelBatchMatchesScalarUnderDUE runs whole kernels — GEMM grids,
+// LUD's AXPY updates between scalar divides, CG's chains — through the
+// batch path with the replay trace and compiled program installed, and
+// through plain scalar decomposition, under persistent faults and under
+// control faults of every class, with the watchdog and trap armed or
+// not. Both must end in the same output bits or the same emulated DUE,
+// with the same counters.
+func TestKernelBatchMatchesScalarUnderDUE(t *testing.T) {
+	for _, k := range []kernels.Kernel{kernels.NewGEMM(6, 1), kernels.NewLUD(8, 2), kernels.NewCG(5, 3, 4)} {
+		for _, f := range []fp.Format{fp.Half, fp.Single} {
+			r := NewRunner(k, f, "", nil)
+			counts := r.Counts()
+			src := rng.New(uint64(f) + 7)
+			var specs []FaultSpec
+			for i := 0; i < 60; i++ {
+				cf := SampleControlFault(src, counts)
+				specs = append(specs, FaultSpec{Control: &cf, Watchdog: DefaultWatchdogFactor, TrapNonFinite: i%2 == 0})
+			}
+			for _, mod := range sweepModuli {
+				for _, of := range persistentFaults(mod) {
+					specs = append(specs, FaultSpec{Op: &of}, FaultSpec{Op: &of, Watchdog: 1, TrapNonFinite: true})
+				}
+			}
+			run := func(t *testing.T, spec FaultSpec, batch bool) (out []fp.Bits, sig any, e *Env) {
+				in := r.art.CopyInputs(nil)
+				e = NewEnv(fp.NewMachine(f), neverFault)
+				e.resetSpec(spec, counts.Total(), in)
+				var env fp.Env = noBatch{e}
+				if batch {
+					e.replay, e.prog, env = r.art.Results(), r.art.Prog(), e
+				}
+				out, sig = runGuarded(t, func() []fp.Bits { return k.Run(env, in) })
+				return out, sig, e
+			}
+			for _, spec := range specs {
+				t.Run(fmt.Sprintf("%s/%v/%s", k.Name(), f, spec.Desc()), func(t *testing.T) {
+					outBatch, sigBatch, be := run(t, spec, true)
+					outScalar, sigScalar, se := run(t, spec, false)
+					checkSameEnding(t, outBatch, outScalar, sigBatch, sigScalar, be, se)
+				})
+			}
 		}
 	}
 }

@@ -149,6 +149,10 @@ type dueSignal struct {
 	cause   DUECause
 }
 
+// ClassifiedAbort implements exec.Classified: an emulated crash or hang
+// is the sample's outcome, so Guard records no stack for it.
+func (dueSignal) ClassifiedAbort() {}
+
 // FaultSpec is the full fault specification of one sample: at most one
 // of Op/Control, any number of memory faults, plus the runtime
 // detectors armed for the run.

@@ -538,3 +538,57 @@ func FuzzNonFinitePropagation(f *testing.F) {
 		}
 	})
 }
+
+// TestDUESignalAbortHasNoStack: an emulated crash or hang is a
+// classified outcome, so Guard records no stack for it.
+func TestDUESignalAbortHasNoStack(t *testing.T) {
+	sig := dueSignal{outcome: CrashDUE, cause: CauseSegfault}
+	abort := exec.Guard(func() { panic(sig) })
+	if abort == nil || abort.Value != sig {
+		t.Fatalf("dueSignal abort %v, want value %+v", abort, sig)
+	}
+	if abort.Stack != "" {
+		t.Errorf("dueSignal abort captured a stack:\n%s", abort.Stack)
+	}
+}
+
+// TestCrashDUESampleAllocs: a sample that ends in an emulated segfault
+// costs the boxed panic value and the Abort record — no stack capture.
+// A stack capture adds its buffer and string, so this bound catches it
+// creeping back onto the DUE path. Pool drops under the race detector
+// make the count meaningless there.
+func TestCrashDUESampleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	r := NewRunner(kernels.NewLUD(48, 1), fp.Single, "", nil)
+	cf := ControlFault{Class: IndexControl, Site: r.Counts().Total() / 2, Bit: 31}
+	spec := FaultSpec{Control: &cf, Watchdog: DefaultWatchdogFactor}
+	allocs := testing.AllocsPerRun(50, func() {
+		rr, abort := r.RunSpec(spec, false)
+		if abort != nil || rr.Outcome != CrashDUE || rr.Cause != CauseSegfault {
+			t.Fatalf("sample: %+v, abort %v; want crash-DUE/segfault", rr, abort)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("a crash-DUE sample allocates %.0f objects, want at most 2 (panic value, Abort)", allocs)
+	}
+}
+
+// TestLoopJumpHangCountsExecutedOps: an upward loop-control jump
+// charges the jumped operations to the watchdog, which fires at the
+// strike site, but the injected-operation counter records only the
+// operations the run executed.
+func TestLoopJumpHangCountsExecutedOps(t *testing.T) {
+	r := NewRunner(kernels.NewLUD(8, 1), fp.Single, "", nil)
+	site := r.Counts().Total() / 3
+	cf := ControlFault{Class: LoopControl, Site: site, Bit: 31}
+	before := snapshotCounter(t, "inject_ops")
+	rr, abort := r.RunSpec(FaultSpec{Control: &cf, Watchdog: DefaultWatchdogFactor}, false)
+	if abort != nil || rr.Outcome != HangDUE || rr.Cause != CauseWatchdog {
+		t.Fatalf("sample: %+v, abort %v; want hang-DUE/watchdog", rr, abort)
+	}
+	if got, want := snapshotCounter(t, "inject_ops")-before, site+1; got != want {
+		t.Errorf("inject_ops advanced %d, want %d executed operations", got, want)
+	}
+}

@@ -124,6 +124,16 @@ func TestCompiledReplayEquivalence(t *testing.T) {
 					of := OpFault{AnyKind: true, Index: idx, Bit: f.MantBits() - 1, Target: TargetResult}
 					checkEquivalent(t, compiled, interpreted, FaultSpec{Op: &of}, true)
 				}
+				// Persistent faults: between struck operations the strike
+				// schedule's gaps serve through the compiled program, with
+				// and without the DUE gates armed.
+				for _, mod := range sweepModuli {
+					for _, of := range persistentFaults(mod) {
+						checkEquivalent(t, compiled, interpreted, FaultSpec{Op: &of}, true)
+						checkEquivalent(t, compiled, interpreted,
+							FaultSpec{Op: &of, Watchdog: DefaultWatchdogFactor, TrapNonFinite: true}, false)
+					}
+				}
 			})
 		}
 	}
@@ -147,14 +157,19 @@ func TestCompiledReplayEquivalenceEveryIndex(t *testing.T) {
 }
 
 // FuzzCompiledReplayEquivalence fuzzes fault placement across kernels,
-// formats, sites, and DUE gating, asserting compiled and interpreted
-// replay journal identically.
+// formats, sites, persistence, and DUE gating, asserting compiled and
+// interpreted replay journal identically. A nonzero modulo makes an
+// operation fault persistent with that period.
 func FuzzCompiledReplayEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), false, false)
-	f.Add(uint64(7), uint8(1), uint8(2), true, false)
-	f.Add(uint64(42), uint8(2), uint8(3), false, true)
-	f.Add(uint64(1<<40), uint8(3), uint8(4), true, true)
-	f.Fuzz(func(t *testing.T, seed uint64, kSel, siteSel uint8, trap, watchdog bool) {
+	f.Add(uint64(1), uint8(0), uint8(0), false, false, uint8(0))
+	f.Add(uint64(7), uint8(1), uint8(2), true, false, uint8(0))
+	f.Add(uint64(42), uint8(2), uint8(3), false, true, uint8(0))
+	f.Add(uint64(1<<40), uint8(3), uint8(4), true, true, uint8(0))
+	f.Add(uint64(5), uint8(0), uint8(0), false, false, uint8(13))
+	f.Add(uint64(9), uint8(1), uint8(1), true, true, uint8(2))
+	f.Add(uint64(11), uint8(6), uint8(0), true, false, uint8(8))
+	f.Add(uint64(13), uint8(2), uint8(1), false, true, uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, kSel, siteSel uint8, trap, watchdog bool, modulo uint8) {
 		var k kernels.Kernel
 		switch kSel % 4 {
 		case 0:
@@ -187,6 +202,9 @@ func FuzzCompiledReplayEquivalence(f *testing.F) {
 		case 3:
 			cf := SampleControlFault(r, counts)
 			spec.Control = &cf
+		}
+		if spec.Op != nil {
+			spec.Op.Modulo = uint64(modulo)
 		}
 		spec.TrapNonFinite = trap
 		if watchdog || spec.Control != nil {

@@ -140,6 +140,7 @@ type Env struct {
 	statReplayed uint64 // operations served by replay induction
 	statServed   uint64 // operations served by compiled compare-serving
 	statBackoff  uint64 // times the scalar serve backoff tripped
+	statJumped   uint64 // loop-control jump operations counted in all, never executed
 
 	// Behavioral-DUE state, armed per run by resetSpec. due gates every
 	// per-operation hook with a single branch so fault-free and
@@ -349,6 +350,7 @@ func (e *Env) reset(fault *OpFault) {
 	e.statReplayed = 0
 	e.statServed = 0
 	e.statBackoff = 0
+	e.statJumped = 0
 	e.due = false
 	e.ctlArmed = false
 	e.ctlPending = false
@@ -441,8 +443,11 @@ func (e *Env) applyControl() {
 			// operations. Account for them immediately — if the budget
 			// cannot absorb them the watchdog fires here; otherwise the
 			// re-executed iterations are idempotent on this machine and
-			// the run continues to a (possibly corrupted) output.
+			// the run continues to a (possibly corrupted) output. The
+			// jumped operations count toward the watchdog but were
+			// never executed, so the run statistics leave them out.
 			e.all += uint64(corrupted - remaining)
+			e.statJumped += uint64(corrupted - remaining)
 			if e.budget > 0 && e.all > e.budget {
 				panic(dueSignal{outcome: HangDUE, cause: CauseWatchdog})
 			}

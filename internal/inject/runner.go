@@ -91,6 +91,12 @@ func (r *Runner) get() *scratch {
 	if r.wrap != nil {
 		sc.env = r.wrap(sc.env)
 	}
+	if _, isOut := r.kernel.(kernels.OutputKernel); isOut {
+		// A run that dies mid-kernel never hands its output buffer
+		// back, so the scratch owns one from the start: a scratch that
+		// has only seen crashes must not allocate one per sample.
+		sc.outBits = make([]fp.Bits, len(r.art.GoldenBits()))
+	}
 	return sc
 }
 

@@ -16,7 +16,8 @@ var (
 	mHangDUE  = telemetry.NewCounter("inject_hang_due")
 	mAborts   = telemetry.NewCounter("inject_aborts")
 
-	// mOps counts dynamic operations observed by injecting environments;
+	// mOps counts dynamic operations executed by injecting environments
+	// (a loop-control jump's re-executed iterations are not among them);
 	// mReplayServed/mCompareServed are the fraction answered from the
 	// replay trace and the compiled program (the remainder recomputed
 	// through the softfloat machine — the serve-vs-recompute ratio).
@@ -38,7 +39,7 @@ var (
 // aborted marks a run that died on a non-DUE panic (a simulator bug).
 func flushRunStats(e *Env, outcome Outcome, cause DUECause, aborted bool) {
 	mSamples.Inc()
-	mOps.Add(e.all)
+	mOps.Add(e.all - e.statJumped)
 	if e.statReplayed > 0 {
 		mReplayServed.Add(e.statReplayed)
 	}
