@@ -18,25 +18,24 @@
 //
 // The driver is interprocedural: requested packages plus everything
 // they transitively import are analyzed in topological order so facts
-// flow across package boundaries, import-independent packages run in
-// parallel, and per-package results are cached on disk (keyed by source
-// content, dependency keys and the analyzer fingerprint) so a warm run
-// with no source changes re-analyzes nothing.
+// flow across package boundaries, and import-independent packages run
+// in parallel. Every run analyzes the whole closure from source, so a
+// verdict always reflects the current analyzers and the current tree.
 //
 // Usage:
 //
-//	mixedrelvet [-only name,name] [-list] [-json] [-workers n] [-cache dir] [packages...]
+//	mixedrelvet [-only name,name] [-list] [-json] [-workers n] [packages...]
 //
 // Packages default to ./... resolved against the enclosing module. The
-// cache defaults to $MIXEDRELVET_CACHE or the user cache directory;
-// -cache '' disables it. The exit status is 1 if any diagnostic was
-// reported, 2 on usage or load/driver failure.
+// exit status is 1 if any diagnostic was reported, 2 on usage or
+// load/driver failure.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -51,8 +50,6 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	workers := flag.Int("workers", runtime.NumCPU(), "max import-independent packages analyzed in parallel")
-	cacheDir := flag.String("cache", analysis.DefaultCacheDir(), "result cache directory ('' disables caching)")
-	stats := flag.Bool("stats", false, "print cache hit/miss counts to stderr")
 	flag.Parse()
 
 	if *list {
@@ -65,7 +62,7 @@ func main() {
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mixedrelvet:", err)
-		fmt.Fprintln(os.Stderr, "usage: mixedrelvet [-only name,name] [-list] [-json] [-workers n] [-cache dir] [packages...]")
+		fmt.Fprintln(os.Stderr, "usage: mixedrelvet [-only name,name] [-list] [-json] [-workers n] [packages...]")
 		os.Exit(2)
 	}
 	patterns := flag.Args()
@@ -77,42 +74,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cache *analysis.Cache
-	if *cacheDir != "" {
-		cache = &analysis.Cache{Dir: *cacheDir}
+	loader := &analysis.Loader{Dir: root, Module: module}
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		fatal(err)
 	}
-
-	// Warm fast path: if every package in the transitive closure has a
-	// cache entry under the current source hashes, serve the findings
-	// without parsing a single function body.
-	res, ok := analysis.TryCached(cache, root, module, patterns, analyzers, suite.Names())
-	if !ok {
-		loader := &analysis.Loader{Dir: root, Module: module}
-		pkgs, err := loader.Load(patterns...)
-		if err != nil {
-			fatal(err)
-		}
-		cfg := analysis.Config{
-			Workers: *workers,
-			Cache:   cache,
-			Known:   suite.Names(),
-			Lookup:  loader.Lookup,
-		}
-		res, err = analysis.Run(cfg, pkgs, analyzers)
-		if err != nil {
-			printFindings(res.Findings, *jsonOut)
-			fatal(err)
-		}
+	cfg := analysis.Config{
+		Workers: *workers,
+		Known:   suite.Names(),
+		Lookup:  loader.Lookup,
 	}
-	if *stats {
-		// The telemetry counters are the single source of truth: both
-		// the warm fast path and the full driver account to them, and
-		// TryCached's commit-on-success discipline keeps a cold-cache
-		// fall-through from double-counting its partial hits.
-		hits, misses := analysis.CacheStats()
-		fmt.Fprintf(os.Stderr, "mixedrelvet: %d packages from cache, %d analyzed\n", hits, misses)
+	res, err := analysis.Run(cfg, pkgs, analyzers)
+	if err != nil {
+		printFindings(os.Stdout, res.Findings, *jsonOut)
+		fatal(err)
 	}
-	printFindings(res.Findings, *jsonOut)
+	printFindings(os.Stdout, res.Findings, *jsonOut)
 	if len(res.Findings) > 0 {
 		os.Exit(1)
 	}
@@ -128,10 +105,13 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-func printFindings(findings []analysis.Finding, asJSON bool) {
+// printFindings writes the findings to w, one per line or (asJSON) as
+// an indented jsonFinding array, with paths relative to the working
+// directory.
+func printFindings(w io.Writer, findings []analysis.Finding, asJSON bool) {
 	if !asJSON {
 		for _, f := range findings {
-			fmt.Println(relativize(f))
+			fmt.Fprintln(w, relativize(f))
 		}
 		return
 	}
@@ -147,7 +127,7 @@ func printFindings(findings []analysis.Finding, asJSON bool) {
 			Message:  f.Message,
 		})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
 		fatal(err)

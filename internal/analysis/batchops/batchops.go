@@ -29,7 +29,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "batchops",
 	Doc:      "flag per-element Add/Mul/FMA loops over fp.Env in kernels; use the fp batch helpers or annotate why the scalar order is the contract",
-	Version:  1,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }

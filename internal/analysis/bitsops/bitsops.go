@@ -24,7 +24,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "bitsops",
 	Doc:      "flag arithmetic/comparison operators on fp.Bits outside package fp; bit-pattern math is not IEEE math",
-	Version:  1,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }

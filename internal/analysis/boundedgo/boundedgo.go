@@ -26,7 +26,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "boundedgo",
 	Doc:      "forbid go statements outside internal/exec; all concurrency runs under the bounded deterministic scheduler",
-	Version:  1,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }

@@ -42,12 +42,10 @@ func (*ArmsChaos) String() string { return "armsChaos" }
 
 // Analyzer is the chaos-containment invariant checker.
 var Analyzer = &analysis.Analyzer{
-	Name:      "chaos",
-	Doc:       "restrict internal/chaos (the fault-injecting exec.FS) to the soak harness; production campaigns must not be able to arm checkpoint fault injection",
-	Version:   1,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*ArmsChaos)(nil)},
-	Run:       run,
+	Name:     "chaos",
+	Doc:      "restrict internal/chaos (the fault-injecting exec.FS) to the soak harness; production campaigns must not be able to arm checkpoint fault injection",
+	Requires: []*analysis.Analyzer{inspect.Analyzer},
+	Run:      run,
 }
 
 // allowedImporters are the package paths (matched on their module-

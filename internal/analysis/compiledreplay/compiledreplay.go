@@ -43,12 +43,10 @@ func (*ConsumesTrace) String() string { return "consumesTrace" }
 
 // Analyzer is the compiledreplay invariant checker.
 var Analyzer = &analysis.Analyzer{
-	Name:      "compiledreplay",
-	Doc:       "restrict internal/traceir use to internal/exec and internal/inject; compiled-trace serving is only sound under their compare/replay discipline",
-	Version:   2,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer},
-	FactTypes: []analysis.Fact{(*ConsumesTrace)(nil)},
-	Run:       run,
+	Name:     "compiledreplay",
+	Doc:      "restrict internal/traceir use to internal/exec and internal/inject; compiled-trace serving is only sound under their compare/replay discipline",
+	Requires: []*analysis.Analyzer{inspect.Analyzer},
+	Run:      run,
 }
 
 // allowedImporters are the package paths (matched on their module-

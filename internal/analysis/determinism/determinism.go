@@ -55,12 +55,10 @@ func (f *NondetSource) String() string { return "nondetSource(" + f.Why + ")" }
 
 // Analyzer is the determinism invariant checker.
 var Analyzer = &analysis.Analyzer{
-	Name:      "determinism",
-	Doc:       "forbid math/rand, wall-clock reads, and map-ordered rendered output in the deterministic simulator",
-	Version:   2,
-	Requires:  []*analysis.Analyzer{inspect.Analyzer, callgraph.Analyzer},
-	FactTypes: []analysis.Fact{(*NondetSource)(nil)},
-	Run:       run,
+	Name:     "determinism",
+	Doc:      "forbid math/rand, wall-clock reads, and map-ordered rendered output in the deterministic simulator",
+	Requires: []*analysis.Analyzer{inspect.Analyzer, callgraph.Analyzer},
+	Run:      run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -17,15 +15,11 @@ func (f *nastyFact) String() string { return "nasty(" + f.Origin + ")" }
 
 // newNastyAnalyzer builds a throwaway interprocedural analyzer for
 // driver tests: declaring Nasty earns the package a fact, importing a
-// marked package propagates the fact and reports the import edge. Taking
-// the version as a parameter lets tests invalidate the cache the same
-// way a real analyzer change would.
-func newNastyAnalyzer(version int) *Analyzer {
+// marked package propagates the fact and reports the import edge.
+func newNastyAnalyzer() *Analyzer {
 	return &Analyzer{
-		Name:      "nastytest",
-		Doc:       "test analyzer: propagate nasty package facts across imports",
-		Version:   version,
-		FactTypes: []Fact{(*nastyFact)(nil)},
+		Name: "nastytest",
+		Doc:  "test analyzer: propagate nasty package facts across imports",
 		Run: func(pass *Pass) (interface{}, error) {
 			if pass.Pkg.Scope().Lookup("Nasty") != nil {
 				pass.ExportPackageFact(&nastyFact{Origin: pass.Pkg.Path()})
@@ -72,7 +66,7 @@ func TestDriverCrossPackageFactPropagation(t *testing.T) {
 	writeTree(t, dir, nastyTree())
 	loader, pkgs := loadTree(t, dir, "top")
 
-	res, err := Run(Config{Lookup: loader.Lookup}, pkgs, []*Analyzer{newNastyAnalyzer(1)})
+	res, err := Run(Config{Lookup: loader.Lookup}, pkgs, []*Analyzer{newNastyAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +90,7 @@ func TestDriverCrossPackageFactPropagation(t *testing.T) {
 	// Per-package counterfactual: same request, no Lookup, so the driver
 	// sees only top. No facts arrive and the violation vanishes.
 	_, pkgsOnly := loadTree(t, dir, "top")
-	blind, err := Run(Config{}, pkgsOnly, []*Analyzer{newNastyAnalyzer(1)})
+	blind, err := Run(Config{}, pkgsOnly, []*Analyzer{newNastyAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +114,7 @@ func TestDriverDeterministicAcrossWorkers(t *testing.T) {
 	var base *Result
 	for _, workers := range []int{1, 2, 8} {
 		loader, pkgs := loadTree(t, dir, "...")
-		res, err := Run(Config{Workers: workers, Lookup: loader.Lookup}, pkgs, []*Analyzer{newNastyAnalyzer(1)})
+		res, err := Run(Config{Workers: workers, Lookup: loader.Lookup}, pkgs, []*Analyzer{newNastyAnalyzer()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,168 +131,6 @@ func TestDriverDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(res.Facts, base.Facts) {
 			t.Errorf("workers=%d facts differ:\n got %v\nwant %v", workers, res.Facts, base.Facts)
 		}
-	}
-}
-
-// TestDriverCacheHitsAndInvalidation covers the cache key's three
-// ingredients: a byte-identical tree hits everywhere, editing one file
-// invalidates that package and its dependents but not its dependencies,
-// and bumping an analyzer version invalidates everything.
-func TestDriverCacheHitsAndInvalidation(t *testing.T) {
-	dir := t.TempDir()
-	writeTree(t, dir, nastyTree())
-	cache := &Cache{Dir: t.TempDir()}
-
-	run := func(version int) *Result {
-		t.Helper()
-		loader, pkgs := loadTree(t, dir, "top")
-		res, err := Run(Config{Cache: cache, Lookup: loader.Lookup}, pkgs, []*Analyzer{newNastyAnalyzer(version)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	cold := run(1)
-	if cold.CacheHits != 0 || cold.CacheMisses != 3 {
-		t.Fatalf("cold run: %d hits, %d misses, want 0/3", cold.CacheHits, cold.CacheMisses)
-	}
-	warm := run(1)
-	if warm.CacheHits != 3 || warm.CacheMisses != 0 {
-		t.Errorf("warm run: %d hits, %d misses, want 3/0", warm.CacheHits, warm.CacheMisses)
-	}
-	if !reflect.DeepEqual(warm.Findings, cold.Findings) {
-		t.Errorf("cached findings differ:\n got %v\nwant %v", warm.Findings, cold.Findings)
-	}
-	if !reflect.DeepEqual(warm.Facts, cold.Facts) {
-		t.Errorf("cached facts differ:\n got %v\nwant %v", warm.Facts, cold.Facts)
-	}
-
-	// A comment-only edit still changes the content hash: mid and its
-	// dependent top recompute, leaf is untouched.
-	midPath := filepath.Join(dir, "mid", "mid.go")
-	src, err := os.ReadFile(midPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(midPath, append(src, []byte("\n// edited\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	edited := run(1)
-	if edited.CacheHits != 1 || edited.CacheMisses != 2 {
-		t.Errorf("after editing mid: %d hits, %d misses, want leaf served and mid+top recomputed (1/2)", edited.CacheHits, edited.CacheMisses)
-	}
-
-	bumped := run(2)
-	if bumped.CacheHits != 0 || bumped.CacheMisses != 3 {
-		t.Errorf("after version bump: %d hits, %d misses, want a full recompute (0/3)", bumped.CacheHits, bumped.CacheMisses)
-	}
-}
-
-// TestTryCachedWarmPath covers the load-free fast path: it refuses on a
-// cold cache, serves byte-identical results after a full run, and
-// refuses again the moment any file in the closure changes.
-func TestTryCachedWarmPath(t *testing.T) {
-	dir := t.TempDir()
-	writeTree(t, dir, nastyTree())
-	cache := &Cache{Dir: t.TempDir()}
-	analyzers := []*Analyzer{newNastyAnalyzer(1)}
-
-	if _, ok := TryCached(cache, dir, "", []string{"top"}, analyzers, nil); ok {
-		t.Fatal("TryCached succeeded on a cold cache")
-	}
-
-	loader, pkgs := loadTree(t, dir, "top")
-	full, err := Run(Config{Cache: cache, Lookup: loader.Lookup}, pkgs, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fast, ok := TryCached(cache, dir, "", []string{"top"}, analyzers, nil)
-	if !ok {
-		t.Fatal("TryCached failed on a fully warm cache")
-	}
-	if !reflect.DeepEqual(fast.Findings, full.Findings) {
-		t.Errorf("fast-path findings differ:\n got %v\nwant %v", fast.Findings, full.Findings)
-	}
-	if fast.CacheHits != 3 {
-		t.Errorf("fast-path hits = %d, want the whole closure (3)", fast.CacheHits)
-	}
-
-	leafPath := filepath.Join(dir, "leaf", "leaf.go")
-	if err := os.WriteFile(leafPath, []byte("package leaf\n\nconst Nasty = 2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := TryCached(cache, dir, "", []string{"top"}, analyzers, nil); ok {
-		t.Error("TryCached succeeded after a dependency edit; a stale serve here would hide new violations")
-	}
-}
-
-// TestCacheTelemetryNoDoubleCount pins the commit-on-success discipline
-// of the process-wide cache counters: a cold TryCached that falls
-// through to the full driver must contribute NO hits (the driver counts
-// those packages itself), while a successful warm serve commits exactly
-// its closure. Before the fix, partially-warm fall-throughs counted the
-// cached prefix twice.
-func TestCacheTelemetryNoDoubleCount(t *testing.T) {
-	dir := t.TempDir()
-	writeTree(t, dir, nastyTree())
-	cache := &Cache{Dir: t.TempDir()}
-	analyzers := []*Analyzer{newNastyAnalyzer(1)}
-
-	hits0, misses0 := CacheStats()
-
-	// Cold fast path fails and must commit nothing.
-	if _, ok := TryCached(cache, dir, "", []string{"top"}, analyzers, nil); ok {
-		t.Fatal("TryCached succeeded on a cold cache")
-	}
-	if h, m := CacheStats(); h != hits0 || m != misses0 {
-		t.Fatalf("cold TryCached committed counters: hits %d->%d, misses %d->%d", hits0, h, misses0, m)
-	}
-
-	// The full driver populates the cache: 3 misses, 0 hits.
-	loader, pkgs := loadTree(t, dir, "top")
-	if _, err := Run(Config{Cache: cache, Lookup: loader.Lookup}, pkgs, analyzers); err != nil {
-		t.Fatal(err)
-	}
-	h1, m1 := CacheStats()
-	if h1 != hits0 || m1 != misses0+3 {
-		t.Fatalf("cold driver run: hits %d->%d misses %d->%d, want +0/+3", hits0, h1, misses0, m1)
-	}
-
-	// Make the cache partially warm: editing top invalidates only top,
-	// so the next TryCached finds leaf and mid cached, then falls
-	// through on top. The fall-through must leave the hit counter
-	// untouched — the driver run after it counts leaf and mid itself.
-	topPath := filepath.Join(dir, "top", "top.go")
-	src, err := os.ReadFile(topPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(topPath, append(src, []byte("\n// edited\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := TryCached(cache, dir, "", []string{"top"}, analyzers, nil); ok {
-		t.Fatal("TryCached succeeded with an invalidated package in the closure")
-	}
-	if h, m := CacheStats(); h != h1 || m != m1 {
-		t.Fatalf("partially-warm TryCached committed counters: hits %d->%d, misses %d->%d (the double-stat bug)", h1, h, m1, m)
-	}
-	loader, pkgs = loadTree(t, dir, "top")
-	if _, err := Run(Config{Cache: cache, Lookup: loader.Lookup}, pkgs, analyzers); err != nil {
-		t.Fatal(err)
-	}
-	h2, m2 := CacheStats()
-	if h2 != h1+2 || m2 != m1+1 {
-		t.Fatalf("partially-warm driver run: hits +%d misses +%d, want +2/+1", h2-h1, m2-m1)
-	}
-
-	// A fully warm TryCached commits exactly its closure.
-	if _, ok := TryCached(cache, dir, "", []string{"top"}, analyzers, nil); !ok {
-		t.Fatal("TryCached failed on a fully warm cache")
-	}
-	if h, m := CacheStats(); h != h2+3 || m != m2 {
-		t.Fatalf("warm TryCached: hits +%d misses +%d, want +3/+0", h-h2, m-m2)
 	}
 }
 
@@ -321,7 +153,7 @@ var Z = 3
 `,
 	})
 	_, pkgs := loadTree(t, dir, "d")
-	res, err := Run(Config{}, pkgs, []*Analyzer{newNastyAnalyzer(1)})
+	res, err := Run(Config{}, pkgs, []*Analyzer{newNastyAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}

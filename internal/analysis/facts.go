@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"go/types"
@@ -9,7 +8,7 @@ import (
 	"sort"
 )
 
-// FactRecord is one exported fact, resolved for reporting, caching and
+// FactRecord is one exported fact, resolved for reporting and
 // analysistest assertions.
 type FactRecord struct {
 	Analyzer string
@@ -140,55 +139,4 @@ func sortedRecords(m map[factKey]*FactRecord) []*FactRecord {
 		out[i] = m[k]
 	}
 	return out
-}
-
-// factRegistry maps analyzer name → fact type name → concrete type, for
-// decoding cached facts. Built from the FactTypes declarations of the
-// analyzer closure.
-type factRegistry map[string]map[string]reflect.Type
-
-func buildFactRegistry(analyzers []*Analyzer) factRegistry {
-	reg := make(factRegistry)
-	for _, a := range analyzers {
-		for _, proto := range a.FactTypes {
-			t := reflect.TypeOf(proto)
-			if t.Kind() == reflect.Ptr {
-				t = t.Elem()
-			}
-			m := reg[a.Name]
-			if m == nil {
-				m = make(map[string]reflect.Type)
-				reg[a.Name] = m
-			}
-			m[t.Name()] = t
-		}
-	}
-	return reg
-}
-
-// encodeFact serializes a fact value and its type name.
-func encodeFact(f Fact) (typeName string, data []byte, err error) {
-	t := reflect.TypeOf(f)
-	if t.Kind() == reflect.Ptr {
-		t = t.Elem()
-	}
-	data, err = json.Marshal(f)
-	return t.Name(), data, err
-}
-
-// decodeFact reconstructs a fact from its cached representation.
-func (reg factRegistry) decodeFact(analyzer, typeName string, data []byte) (Fact, error) {
-	t, ok := reg[analyzer][typeName]
-	if !ok {
-		return nil, fmt.Errorf("analyzer %s declares no fact type %s", analyzer, typeName)
-	}
-	v := reflect.New(t)
-	if err := json.Unmarshal(data, v.Interface()); err != nil {
-		return nil, err
-	}
-	f, ok := v.Interface().(Fact)
-	if !ok {
-		return nil, fmt.Errorf("%s.%s does not implement Fact", analyzer, typeName)
-	}
-	return f, nil
 }

@@ -56,12 +56,10 @@ func (f *Allocates) String() string { return "allocates(" + f.Why + ")" }
 
 // Analyzer is the hotalloc invariant checker.
 var Analyzer = &analysis.Analyzer{
-	Name:      "hotalloc",
-	Doc:       "prove //mixedrelvet:hotpath functions and everything they call allocation-free",
-	Version:   1,
-	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
-	FactTypes: []analysis.Fact{(*Allocates)(nil)},
-	Run:       run,
+	Name:     "hotalloc",
+	Doc:      "prove //mixedrelvet:hotpath functions and everything they call allocation-free",
+	Requires: []*analysis.Analyzer{callgraph.Analyzer},
+	Run:      run,
 }
 
 // allocSite is one visible allocation in a function body.

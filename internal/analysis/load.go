@@ -16,9 +16,7 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	// Path is the import path the package was resolved under.
-	Path string
-	// Dir is the directory holding the package's source files.
-	Dir       string
+	Path      string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -80,7 +78,7 @@ func (l *Loader) init() {
 // returns the type-checked packages in deterministic (path-sorted) order.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	l.init()
-	dirs, err := l.ResolveDirs(patterns...)
+	dirs, err := l.resolveDirs(patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +102,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// ResolveDirs expands the patterns to the sorted package directories
-// they denote, without parsing or type-checking anything. The cache's
-// warm fast path uses it to locate packages by directory alone.
-func (l *Loader) ResolveDirs(patterns ...string) ([]string, error) {
+// resolveDirs expands the patterns to the sorted package directories
+// they denote, without parsing or type-checking anything.
+func (l *Loader) resolveDirs(patterns ...string) ([]string, error) {
 	dirs := make(map[string]bool)
 	for _, pat := range patterns {
 		rel, recursive, err := l.patternRel(pat)
@@ -318,7 +315,6 @@ func (l *Loader) load(path string, includeTests bool) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:      path,
-		Dir:       dir,
 		Fset:      l.fset,
 		Files:     files,
 		Types:     tpkg,

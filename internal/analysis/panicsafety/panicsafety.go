@@ -26,7 +26,6 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:     "panicsafety",
 	Doc:      "forbid recover() outside internal/exec; emulated crash/hang aborts must reach exec.Guard for DUE classification",
-	Version:  1,
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }

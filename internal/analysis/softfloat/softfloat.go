@@ -57,12 +57,10 @@ func (f *UsesNativeFloat) String() string { return "usesNativeFloat(" + f.Why + 
 
 // Analyzer is the softfloat invariant checker.
 var Analyzer = &analysis.Analyzer{
-	Name:      "softfloat",
-	Doc:       "flag native float arithmetic reachable from Kernel.Run in any package; the injected compute path must go through fp.Env",
-	Version:   2,
-	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
-	FactTypes: []analysis.Fact{(*UsesNativeFloat)(nil)},
-	Run:       run,
+	Name:     "softfloat",
+	Doc:      "flag native float arithmetic reachable from Kernel.Run in any package; the injected compute path must go through fp.Env",
+	Requires: []*analysis.Analyzer{callgraph.Analyzer},
+	Run:      run,
 }
 
 // floatOp is one native float operation in a function body.

@@ -67,9 +67,6 @@ func (h *Hotspot) Key() string { return h.key }
 // N returns the grid edge length.
 func (h *Hotspot) N() int { return h.n }
 
-// Steps returns the iteration count.
-func (h *Hotspot) Steps() int { return h.steps }
-
 // Inputs implements Kernel: element 0 is the initial temperature grid,
 // element 1 the power map.
 func (h *Hotspot) Inputs(f fp.Format) [][]fp.Bits {

@@ -35,12 +35,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddNotef appends a formatted note line (e.g. a campaign's
-// aborted-sample diagnostics).
-func (t *Table) AddNotef(format string, args ...any) {
-	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
-}
-
 // WriteASCII renders the table with aligned columns.
 func (t *Table) WriteASCII(w io.Writer) error {
 	widths := make([]int, len(t.Columns))
